@@ -23,10 +23,11 @@ summary JSON object to stdout. Exit codes: 0 completed, 2 bad config,
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -92,7 +93,10 @@ class RunConfig:
         step = float(raw["step"])
         if not (step > 0.0 and t_end >= step):
             raise ConfigError("need step > 0 and t_end >= step")
-        observe_every = int(raw.get("observe_every", 1))
+        try:
+            observe_every = operator.index(raw.get("observe_every", 1))
+        except TypeError:
+            raise ConfigError(f"observe_every must be an integer, got {raw['observe_every']!r}") from None
         if observe_every < 1:
             raise ConfigError("observe_every must be >= 1")
         refs = raw.get("refs")
@@ -108,7 +112,9 @@ class RunConfig:
         fmt = out.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {fmt!r}")
-        return cls(escort, landscape, x0, t_end, step, observe_every, refs, seed, out["path"], fmt)
+        config = cls(escort, landscape, x0, t_end, step, observe_every, refs, seed, out["path"], fmt)
+        config.build_escort()  # the family constructors reject values such as q = inf
+        return config
 
     def to_dict(self) -> dict:
         return {
@@ -334,21 +340,26 @@ def cmd_run(args) -> int:
 
 
 def _sweep_value(config: RunConfig, param: str, value: float) -> RunConfig:
-    escort = dict(config.escort)
-    escort[param] = value
+    """The validated config of one sweep value."""
+    raw = config.to_dict()
+    raw["escort"][param] = value
     root, ext = os.path.splitext(config.output_path)
-    return RunConfig(
-        escort=escort,
-        landscape=config.landscape,
-        x0=config.x0,
-        t_end=config.t_end,
-        step=config.step,
-        observe_every=config.observe_every,
-        refs=config.refs,
-        seed=config.seed,
-        output_path=f"{root}_{param}{value:g}{ext or '.csv'}",
-        output_format=config.output_format,
-    )
+    raw["output"]["path"] = f"{root}_{param}{value:g}{ext or '.csv'}"
+    return RunConfig.from_dict(raw)
+
+
+def _sweep_threads(n_values: int) -> int:
+    """Worker count: ESCORTDYN_THREADS (an integer >= 1) or the CPU count, at most n_values."""
+    threads = os.environ.get("ESCORTDYN_THREADS")
+    if not threads:
+        return max(1, min(os.cpu_count() or 1, n_values))
+    try:
+        count = int(threads)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ConfigError(f"ESCORTDYN_THREADS must be an integer >= 1, got {threads!r}")
+    return min(count, n_values)
 
 
 def cmd_sweep(args) -> int:
@@ -358,32 +369,22 @@ def cmd_sweep(args) -> int:
             raise ConfigError("sweeping q needs a power-family escort")
         if args.param == "beta" and config.escort["family"] != "scaled":
             raise ConfigError("sweeping beta needs a scaled-family escort")
-        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        try:
+            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+        except ValueError:
+            raise ConfigError(f"sweep values must be numbers, got {args.values!r}") from None
         if not values:
             raise ConfigError("sweep needs at least one value")
+        configs = [_sweep_value(config, args.param, v) for v in values]
+        max_workers = _sweep_threads(len(values))
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
     # Identity-escort reference for the deviation column.
-    ref_config = RunConfig(
-        escort={"family": "identity"},
-        landscape=config.landscape,
-        x0=config.x0,
-        t_end=config.t_end,
-        step=config.step,
-        observe_every=config.observe_every,
-        refs=config.refs,
-        seed=config.seed,
-        output_path=config.output_path,
-        output_format=config.output_format,
-    )
+    ref_config = replace(config, escort={"family": "identity"})
     ref_code, ref_traj = _execute(ref_config, out_path=os.devnull)
 
-    threads = os.environ.get("ESCORTDYN_THREADS")
-    max_workers = int(threads) if threads else (os.cpu_count() or 1)
-    max_workers = max(1, min(max_workers, len(values)))
-    configs = [_sweep_value(config, args.param, v) for v in values]
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         outcomes = list(pool.map(_execute, configs))
 

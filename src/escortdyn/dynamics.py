@@ -90,9 +90,6 @@ class Trajectory:
     def n(self):
         return self.states.shape[1]
 
-    def point(self, i: int) -> SimplexPoint:
-        return SimplexPoint(self.states[i])
-
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
@@ -189,14 +186,9 @@ class _Recorder:
         lyap = integral = None
         # vector escorts induce no scalar logarithm, hence no reference diagnostics
         if self.ref is not None and not self.phi.is_vector:
-            lyap = _safe_divergence(self.phi, self.ref, states)
+            lyap = divergence_profile(self.phi, self.ref, states, allow_infinite=True)
             integral = _safe_integral(self.phi, self.ref, states)
         return Trajectory(self.times, states, self.means, lyap, integral, termination)
-
-
-def _safe_divergence(phi, ref, states):
-    """Divergence profile with +inf markers where the boundary makes it blow up."""
-    return divergence_profile(phi, ref, states, allow_infinite=True)
 
 
 def _safe_integral(phi, ref, states):

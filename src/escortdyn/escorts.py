@@ -8,7 +8,7 @@ escort distribution, and its reciprocal integrates to a deformed logarithm
 
 whose inverse exp_phi generalizes the exponential. Closed forms are
 dispatched per family; the Custom family falls back to adaptive
-quadrature and safeguarded Newton inversion.
+Gauss-Kronrod quadrature and safeguarded Newton inversion.
 """
 
 import math
@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, RangeError
-from .numerics import adaptive_simpson, invert_increasing
+from .numerics import gauss_kronrod, invert_increasing
 from .simplex import SimplexPoint, as_simplex
 
 # |q - 1| below this uses the identity-escort closed forms; avoids the
@@ -29,6 +29,9 @@ Q_DEGENERATE = 1e-9
 LOG_QUAD_TOL = 1e-10
 LOG_QUAD_DEPTH = 50
 EXP_TOL = 1e-10
+# Tolerance of each increment of log_phi while inverting it; the summed
+# error over the probes of one inversion stays below EXP_TOL.
+EXP_STEP_TOL = 1e-13
 
 _POSITIVITY_GRID = np.arange(1, 1001) / 1001.0
 
@@ -74,23 +77,30 @@ class Escort:
         raise NotImplementedError
 
     def _log_quadrature(self, u):
-        phi = self
-
-        def integrand(v):
-            p = phi(v)
-            if not (p > 0.0 and math.isfinite(p)):
-                raise DomainError(f"escort not positive at u={v!r}")
-            return 1.0 / p
-
-        return adaptive_simpson(integrand, 1.0, u, tol=LOG_QUAD_TOL, max_depth=LOG_QUAD_DEPTH)
+        return gauss_kronrod(self.reciprocal, 1.0, u, tol=LOG_QUAD_TOL, max_depth=LOG_QUAD_DEPTH)
 
     def _exp_impl(self, w):
-        return invert_increasing(
-            lambda u: self.log(u),
-            lambda u: 1.0 / self(u),
-            w,
-            tol=EXP_TOL,
-        )
+        # log_phi at each probe is the previous probe's value plus the
+        # integral over the gap between them, starting from log_phi(1) = 0.
+        last_u, last_log = 1.0, 0.0
+
+        def log_phi(u):
+            nonlocal last_u, last_log
+            last_log += gauss_kronrod(
+                self.reciprocal, last_u, u, tol=EXP_STEP_TOL, max_depth=LOG_QUAD_DEPTH
+            )
+            last_u = u
+            return last_log
+
+        return invert_increasing(log_phi, lambda u: 1.0 / self(u), w, tol=EXP_TOL)
+
+    def reciprocal(self, v: np.ndarray) -> np.ndarray:
+        """1/phi at an array of nodes; DomainError where phi is not positive and finite."""
+        p = self(v)
+        bad = ~((p > 0.0) & np.isfinite(p))
+        if np.any(bad):
+            raise DomainError(f"escort not positive at u={v[np.argmax(bad)]!r}")
+        return 1.0 / p
 
     def log_range(self):
         """Open interval of values attained by log_phi on u > 0."""
@@ -114,16 +124,10 @@ class Escort:
 
     def sphere_map(self, u: float) -> float:
         """Antiderivative of 1/sqrt(phi), anchored at 0 when integrable there."""
-        phi = self
-
-        def integrand(v):
-            p = phi(v)
-            if not (p > 0.0 and math.isfinite(p)):
-                raise DomainError(f"escort not positive at u={v!r}")
-            return 1.0 / math.sqrt(p)
-
         # Custom escorts anchor at 1: integrability at 0 is not decidable here.
-        return adaptive_simpson(integrand, 1.0, u, tol=LOG_QUAD_TOL, max_depth=LOG_QUAD_DEPTH)
+        return gauss_kronrod(
+            lambda v: np.sqrt(self.reciprocal(v)), 1.0, u, tol=LOG_QUAD_TOL, max_depth=LOG_QUAD_DEPTH
+        )
 
 
 def _check_log_arg(phi, u):

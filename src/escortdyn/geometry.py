@@ -6,10 +6,10 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceInfinite, DomainError
 from .escorts import Escort
-from .numerics import adaptive_simpson
+from .numerics import gauss_kronrod
 from .simplex import SimplexPoint, as_simplex
 
-DIVERGENCE_QUAD_TOL = 1e-9  # outer Simpson tolerance, per coordinate
+DIVERGENCE_QUAD_TOL = 1e-9  # quadrature tolerance, per coordinate
 
 
 class DiagonalMetric:
@@ -29,9 +29,6 @@ class DiagonalMetric:
     @property
     def n(self):
         return self.diag.size
-
-    def inner(self, a, b) -> float:
-        return metric_inner_product(self, a, b)
 
     def __repr__(self):
         return f"DiagonalMetric({self.diag.tolist()!r})"
@@ -134,14 +131,17 @@ def _closed_terms(phi: Escort, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _quadrature_term(phi: Escort, a: float, b: float) -> float:
-    """One Bregman gap by outer adaptive Simpson over log_phi."""
+    """One Bregman gap as a single integral.
+
+    By Fubini, B(a, b) = int_b^a (log_phi(u) - log_phi(b)) du
+    = int_b^a (a - v) / phi(v) dv, so no inner quadrature of log_phi is needed.
+    """
     if a == b:
         return 0.0
     if a <= 0.0 or b <= 0.0:
         raise DomainError("quadrature divergence needs strictly positive coordinates")
-    lb = phi.log(b)
-    return adaptive_simpson(
-        lambda u: phi.log(u) - lb, b, a, tol=DIVERGENCE_QUAD_TOL, max_depth=50
+    return gauss_kronrod(
+        lambda v: (a - v) * phi.reciprocal(v), b, a, tol=DIVERGENCE_QUAD_TOL, max_depth=50
     )
 
 
@@ -168,8 +168,8 @@ def divergence_profile(phi: Escort, x_star, states: np.ndarray, allow_infinite=F
 def escort_divergence(phi: Escort, x, y, method: str = "auto") -> float:
     """The escort divergence D_phi(x || y); zero iff x = y, never negative.
 
-    ``method="quadrature"`` forces the nested-quadrature path (outer
-    adaptive Simpson over u calling the escort logarithm); the default
+    ``method="quadrature"`` forces the quadrature path (one adaptive
+    Gauss-Kronrod integral of (x_i - v)/phi(v) per coordinate); the default
     uses the family closed form when one exists.
     """
     if phi.is_vector:

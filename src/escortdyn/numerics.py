@@ -1,17 +1,59 @@
-"""Scalar numerics: adaptive Simpson quadrature and monotone inversion."""
+"""Scalar numerics: adaptive Gauss-Kronrod quadrature and monotone inversion."""
 
 import math
 
+import numpy as np
+
 from .errors import ConvergenceError, QuadratureError, RangeError
 
+# QUADPACK qk15 (Piessens et al., 1983): the nonnegative Kronrod nodes on
+# [-1, 1], their weights, and the weights of the embedded 7-point Gauss
+# rule, which uses every second node. _NODES holds all 15 from left to right.
+_XGK = np.array([
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.0,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+])
+_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])
+_KRONROD = np.concatenate([_WGK[:-1], _WGK[::-1]])
+_GAUSS = np.zeros(15)
+_GAUSS[1:8:2] = _WG
+_GAUSS[9:15:2] = _WG[2::-1]
 
-def adaptive_simpson(f, a, b, tol=1e-10, max_depth=50):
-    """Integrate ``f`` over ``[a, b]`` with adaptive Simpson bisection.
+
+def gauss_kronrod(f, a, b, tol=1e-10, max_depth=50):
+    """Integrate ``f`` over ``[a, b]`` with adaptive Gauss-Kronrod 7/15 panels.
+
+    A panel is accepted when its 15-point Kronrod and 7-point Gauss
+    estimates differ by at most its tolerance; otherwise it is bisected and
+    each half gets half the tolerance.
 
     Parameters
     ----------
     f : callable
-        Scalar integrand. Must return finite values on [a, b].
+        Vectorized integrand: maps a 1-d array of nodes to an array of
+        values, which must be finite.
     a, b : float
         Integration limits; ``a > b`` flips the sign of the result.
     tol : float
@@ -31,35 +73,26 @@ def adaptive_simpson(f, a, b, tol=1e-10, max_depth=50):
     if a > b:
         a, b = b, a
         sign = -1.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    if not (math.isfinite(fa) and math.isfinite(fm) and math.isfinite(fb)):
-        raise QuadratureError(f"non-finite integrand on [{a}, {b}]")
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return sign * _simpson(f, a, b, fa, fm, fb, whole, tol, max_depth)
-
-
-def _simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    if not (math.isfinite(flm) and math.isfinite(frm)):
-        raise QuadratureError(f"non-finite integrand on [{a}, {b}]")
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    # Richardson: Simpson error of the halved interval is ~delta/15.
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth <= 0:
-        raise QuadratureError(
-            f"tolerance {tol:g} not met on [{a}, {b}] at maximum depth"
-        )
-    half = 0.5 * tol
-    return _simpson(f, a, m, fa, flm, fm, left, half, depth - 1) + _simpson(
-        f, m, b, fm, frm, fb, right, half, depth - 1
-    )
+    total = 0.0
+    panels = [(a, b, tol, max_depth)]
+    while panels:
+        lo, hi, panel_tol, depth = panels.pop()
+        mid = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        fx = np.asarray(f(mid + half * _NODES), dtype=float)
+        if not np.all(np.isfinite(fx)):
+            raise QuadratureError(f"non-finite integrand on [{lo}, {hi}]")
+        kronrod = half * float(_KRONROD @ fx)
+        if abs(kronrod - half * float(_GAUSS @ fx)) <= panel_tol:
+            total += kronrod
+            continue
+        if depth <= 0:
+            raise QuadratureError(
+                f"tolerance {panel_tol:g} not met on [{lo}, {hi}] at maximum depth"
+            )
+        panels.append((mid, hi, 0.5 * panel_tol, depth - 1))
+        panels.append((lo, mid, 0.5 * panel_tol, depth - 1))
+    return sign * total
 
 
 def invert_increasing(g, gprime, target, x0=1.0, tol=1e-10, max_iter=100):

@@ -205,6 +205,22 @@ class TestRunCommand:
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
 
+    @pytest.mark.parametrize("q", ["inf", "nan"])
+    def test_non_finite_escort_parameter_exit_2(self, tmp_path, q):
+        path, _ = base_config(tmp_path, escort={"family": "power", "q": q}, t_end=0.1)
+        proc = run_cli("run", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "config error" in proc.stderr
+
+    def test_fractional_observe_every_exit_2(self, tmp_path):
+        path, _ = base_config(tmp_path, observe_every=1.7, t_end=0.1)
+        proc = run_cli("run", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "observe_every" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_escort_form_matrix_landscape_conserves(self, tmp_path):
         # f(x) = A phi(x) with the run escort: same conservation as the builtin
         path, _ = base_config(
@@ -301,6 +317,37 @@ class TestSweepCommand:
         proc = run_cli("sweep", "--config", str(path), "--param", "q", "--values", "", cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
+
+    @pytest.mark.parametrize("values", ["nan,1.1", "1.1,inf", "abc"])
+    def test_bad_value_exit_2_before_any_run(self, tmp_path, values):
+        path, _ = base_config(
+            tmp_path, escort={"family": "power", "q": 1.0}, t_end=0.1, refs=None,
+            output={"path": "out/v.csv", "format": "csv"},
+        )
+        proc = run_cli("sweep", "--config", str(path), "--param", "q", "--values", values, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "config error" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["abc", "0"])
+    def test_bad_thread_count_exit_2(self, tmp_path, threads):
+        path, _ = base_config(
+            tmp_path, escort={"family": "power", "q": 1.0}, t_end=0.1, refs=None,
+            output={"path": "out/t.csv", "format": "csv"},
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "escortdyn.cli", "sweep", "--config", str(path),
+             "--param", "q", "--values", "0.9,1.1"],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            env={**cli_env(), "ESCORTDYN_THREADS": threads},
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "ESCORTDYN_THREADS" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_family_mismatch_exit_2(self, tmp_path):
         path, _ = base_config(tmp_path)  # identity escort

@@ -10,6 +10,7 @@ from escortdyn import (
     Exponential,
     Identity,
     Power,
+    QuadratureError,
     RangeError,
     Scaled,
     SimplexPoint,
@@ -21,6 +22,7 @@ from escortdyn import (
     escort_variance,
     partition_function,
 )
+from escortdyn.numerics import gauss_kronrod
 
 SCALAR_FAMILIES = [
     Identity(),
@@ -236,6 +238,93 @@ class TestEscortExp:
         phi = Custom(lambda v: math.exp(v), name="e^v")
         with pytest.raises(RangeError):
             escort_exp(phi, 0.95)
+
+
+class TestGaussKronrod:
+    def test_empty_interval_is_zero(self):
+        calls = []
+        assert gauss_kronrod(lambda v: calls.append(v) or np.ones_like(v), 0.7, 0.7) == 0.0
+        assert calls == []
+
+    def test_reversed_limits_flip_sign(self):
+        forward = gauss_kronrod(np.exp, 0.0, 2.0)
+        assert gauss_kronrod(np.exp, 2.0, 0.0) == -forward
+        assert forward == pytest.approx(math.exp(2.0) - 1.0, abs=1e-13)
+
+    def test_degree_13_polynomial_exact_in_one_panel(self):
+        # G7 and K15 both integrate degree <= 13 exactly: one panel, no bisection
+        coeffs = np.arange(1.0, 15.0)  # p(v) = sum_k (k + 1) v^k, k = 0..13
+        panels = []
+
+        def p(v):
+            panels.append(v.size)
+            return np.polyval(coeffs[::-1], v)
+
+        a, b = -0.5, 1.5
+        exact = sum(c * (b ** (k + 1) - a ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
+        got = gauss_kronrod(p, a, b, tol=1e-12)
+        assert panels == [15]
+        assert got == pytest.approx(exact, rel=1e-14)
+
+    def test_non_finite_integrand_raises(self):
+        with pytest.raises(QuadratureError):
+            gauss_kronrod(lambda v: np.where(v > 0.5, np.nan, v), 0.0, 1.0)
+
+    def test_depth_exhaustion_raises(self):
+        step = lambda v: np.where(v < 1.0 / 3.0, 0.0, 1.0)  # noqa: E731
+        with pytest.raises(QuadratureError):
+            gauss_kronrod(step, 0.0, 1.0, tol=1e-12, max_depth=5)
+
+
+def counting_custom(fn):
+    """A Custom escort of ``fn`` and a one-element list counting its calls
+    after construction (the positivity screen is not counted)."""
+    count = [0]
+
+    def counted(v):
+        count[0] += 1
+        return fn(v)
+
+    phi = Custom(counted, name="counted")
+    count[0] = 0
+    return phi, count
+
+
+class TestCustomQuadrature:
+    # (escort, closed log_phi, closed exp_phi)
+    CASES = {
+        "v+v^2": (
+            lambda v: v + v * v,
+            lambda u: math.log(2.0 * u / (1.0 + u)),
+            lambda w: math.exp(w) / (2.0 - math.exp(w)),
+        ),
+        "e^v": (
+            math.exp,
+            lambda u: math.exp(-1.0) - math.exp(-u),
+            lambda w: -math.log(math.exp(-1.0) - w),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_log_and_exp_match_scipy_and_closed_forms(self, name):
+        integrate = pytest.importorskip("scipy.integrate")
+        fn, closed_log, closed_exp = self.CASES[name]
+        phi = Custom(fn, name=name)
+        for u in np.linspace(0.05, 5.0, 23):
+            u = float(u)
+            got = escort_log(phi, u)
+            oracle, _ = integrate.quad(lambda v: 1.0 / fn(v), 1.0, u, epsabs=1e-13, epsrel=1e-13)
+            assert abs(got - oracle) <= 1e-9
+            assert abs(got - closed_log(u)) <= 1e-9
+            w = closed_log(u)
+            assert abs(escort_exp(phi, w) - closed_exp(w)) <= 1e-8 * max(1.0, u)
+
+    def test_log_evaluation_count(self):
+        phi, count = counting_custom(lambda v: v + v * v)
+        args = np.linspace(0.05, 5.0, 100)
+        for u in args:
+            escort_log(phi, float(u))
+        assert count[0] <= 150 * args.size
 
 
 class TestConstruction:

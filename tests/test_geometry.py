@@ -125,6 +125,51 @@ class TestEscortDivergence:
         assert d > 0.0
         assert escort_divergence(phi, x, x) == 0.0
 
+    @pytest.mark.parametrize(
+        "fn,antiderivative,closed_log",
+        [
+            (
+                lambda v: v + v * v,
+                lambda u: u * math.log(2.0) + u * math.log(u) - (1.0 + u) * math.log1p(u),
+                lambda u: math.log(2.0 * u / (1.0 + u)),
+            ),
+            (
+                math.exp,
+                lambda u: math.exp(-1.0) * u + math.exp(-u),
+                lambda u: math.exp(-1.0) - math.exp(-u),
+            ),
+        ],
+        ids=["v+v^2", "e^v"],
+    )
+    def test_custom_matches_scipy_and_closed_form(self, fn, antiderivative, closed_log):
+        integrate = pytest.importorskip("scipy.integrate")
+        phi = Custom(fn, name="oracle")
+        xs = simplex_samples(3, 10, seed=40)
+        ys = simplex_samples(3, 10, seed=41)
+        for x, y in zip(xs, ys):
+            got = escort_divergence(phi, x, y)
+            closed = oracle = 0.0
+            for a, b in zip(x.coords, y.coords):
+                closed += antiderivative(a) - antiderivative(b) - (a - b) * closed_log(b)
+                inner = lambda u: integrate.quad(lambda v: 1.0 / fn(v), b, u, epsabs=1e-13)[0]  # noqa: E731
+                oracle += integrate.quad(inner, b, a, epsabs=1e-12)[0]
+            assert abs(got - closed) <= 1e-7
+            assert abs(got - oracle) <= 1e-7
+
+    def test_custom_divergence_evaluation_count(self):
+        count = [0]
+
+        def fn(v):
+            count[0] += 1
+            return v + v * v
+
+        phi = Custom(fn, name="counted")
+        pairs = list(zip(simplex_samples(3, 50, seed=42), simplex_samples(3, 50, seed=43)))
+        count[0] = 0
+        for x, y in pairs:
+            escort_divergence(phi, x, y)
+        assert count[0] <= 500 * len(pairs)
+
     @pytest.mark.parametrize("phi", [Identity(), Power(2.0)])
     def test_hessian_recovers_metric(self, phi):
         x = np.array([0.5, 0.3, 0.2])
