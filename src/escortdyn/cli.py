@@ -23,7 +23,6 @@ summary JSON object to stdout. Exit codes: 0 completed, 2 bad config,
 import argparse
 import json
 import math
-import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -32,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import Trajectory, integrate
+from .dynamics import Trajectory, _check_controls, integrate
 from .errors import ConfigError, DomainError, EscortError
 from .escorts import Constant, Escort, Exponential, Identity, Power, Scaled
 from .landscapes import BUILTIN_LANDSCAPES, FitnessLandscape, builtin_landscape
@@ -47,6 +46,7 @@ EXIT_MIDRUN = 4
 
 ESCORT_FAMILIES = ("identity", "scaled", "power", "constant", "exponential")
 MONOTONE_TOL = 1e-10
+CSV_BLOCK_ROWS = 512  # rows formatted per write: bounds the memory of a long trajectory
 
 
 @dataclass(frozen=True)
@@ -91,14 +91,8 @@ class RunConfig:
         SimplexPoint(x0)  # validates
         t_end = float(raw["t_end"])
         step = float(raw["step"])
-        if not (step > 0.0 and t_end >= step):
-            raise ConfigError("need step > 0 and t_end >= step")
-        try:
-            observe_every = operator.index(raw.get("observe_every", 1))
-        except TypeError:
-            raise ConfigError(f"observe_every must be an integer, got {raw['observe_every']!r}") from None
-        if observe_every < 1:
-            raise ConfigError("observe_every must be >= 1")
+        # the integrator's own checks, including that the step divides the horizon
+        _, observe_every = _check_controls(t_end, step, raw.get("observe_every", 1))
         refs = raw.get("refs")
         if refs is not None:
             refs = tuple(float(v) for v in refs)
@@ -236,6 +230,7 @@ def _columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
         cols.append(traj.integral_of_motion)
     return names, cols
 
+
 def write_trajectory(traj: Trajectory, path: str, fmt: str) -> None:
     """Write a trajectory as CSV or JSON with round-trippable floats."""
     names, cols = _columns(traj)
@@ -245,10 +240,11 @@ def write_trajectory(traj: Trajectory, path: str, fmt: str) -> None:
     if fmt == "csv":
         with open(path, "w") as fh:
             fh.write(",".join(names) + "\n")
-            for i in range(len(traj)):
-                fh.write(",".join(repr(float(c[i])) for c in cols) + "\n")
+            for start in range(0, len(traj), CSV_BLOCK_ROWS):
+                block = np.column_stack([c[start : start + CSV_BLOCK_ROWS] for c in cols])
+                fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
     else:
-        rows = [[float(c[i]) for c in cols] for i in range(len(traj))]
+        rows = np.column_stack(cols).tolist()
         doc = {"columns": names, "rows": rows, "termination": traj.termination.kind}
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=1)
@@ -344,7 +340,10 @@ def _sweep_value(config: RunConfig, param: str, value: float) -> RunConfig:
     raw = config.to_dict()
     raw["escort"][param] = value
     root, ext = os.path.splitext(config.output_path)
-    raw["output"]["path"] = f"{root}_{param}{value:g}{ext or '.csv'}"
+    label = f"{value:g}"
+    if float(label) != value:  # keep the short name only when it names this value alone
+        label = repr(value)
+    raw["output"]["path"] = f"{root}_{param}{label}{ext or '.csv'}"
     return RunConfig.from_dict(raw)
 
 
@@ -375,6 +374,8 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"sweep values must be numbers, got {args.values!r}") from None
         if not values:
             raise ConfigError("sweep needs at least one value")
+        if len(set(values)) != len(values):
+            raise ConfigError(f"sweep values must be distinct, got {args.values!r}")
         configs = [_sweep_value(config, args.param, v) for v in values]
         max_workers = _sweep_threads(len(values))
     except ConfigError as err:

@@ -25,6 +25,7 @@ from .simplex import SimplexPoint, as_simplex
 
 DEFAULT_STEP = 1e-3
 DRIFT_TOL = 1e-13  # renormalize when |sum x - 1| exceeds this
+HORIZON_TOL = 1e-9  # relative gap allowed between round(t_end/step) steps and t_end
 
 
 @dataclass(frozen=True)
@@ -109,14 +110,19 @@ class Trajectory:
 
 
 def _make_field(phi: Escort, f: FitnessLandscape):
-    """Build the raw RHS closure; reuses escort weights when f = A phi(x)."""
+    """Build the raw RHS closure; reuses escort weights when f = A phi(x).
+
+    Each call leaves the escort mean fitness <f(x)>_phi it computed in
+    ``field.mean``, so the integrator records it without evaluating the
+    escort and the landscape again.
+    """
     if f.kind == "matrix_escort" and f.escort == phi:
         A = f.matrix
 
         def field(x):
             w = phi.weights(x)
             fx = A @ w
-            m = (w @ fx) / w.sum()
+            m = field.mean = (w @ fx) / w.sum()
             return w * (fx - m)
 
         return field
@@ -124,7 +130,7 @@ def _make_field(phi: Escort, f: FitnessLandscape):
     def field(x):
         w = phi.weights(x)
         fx = f(x)
-        m = (w @ fx) / w.sum()
+        m = field.mean = (w @ fx) / w.sum()
         return w * (fx - m)
 
     return field
@@ -152,6 +158,11 @@ def escort_mean_fitness(phi: Escort, f: FitnessLandscape, x) -> float:
 
 
 def _check_controls(t_end, step, observe_every):
+    """Validate the integration controls; returns (n_steps, observe_every).
+
+    The step must divide the horizon: round(t_end/step) steps of size
+    ``step`` must land on ``t_end`` to within HORIZON_TOL relative.
+    """
     try:
         observe_every = int(operator.index(observe_every))
     except TypeError:
@@ -162,11 +173,22 @@ def _check_controls(t_end, step, observe_every):
         raise ConfigError(f"step must be positive, got {step!r}")
     if not (t_end > 0.0 and math.isfinite(t_end)) or t_end < step:
         raise ConfigError(f"horizon must satisfy t_end >= step > 0, got t_end={t_end!r}")
-    n_steps = int(round(t_end / step))
-    return max(n_steps, 1)
+    n_steps = round(t_end / step)
+    if abs(n_steps * step - t_end) > HORIZON_TOL * t_end:
+        raise ConfigError(f"step {step!r} does not divide the horizon t_end={t_end!r}")
+    return n_steps, observe_every
 
 
 class _Recorder:
+    """The samples of a run and their diagnostics.
+
+    A sample's escort mean fitness is settled by the first RK4 stage taken
+    at its state (``settle(field.mean)``). A sample that has no such stage
+    (the final one, or one where the stage raised) is evaluated afresh when
+    the next sample is recorded or the trajectory is built, so an error at
+    that state surfaces as the escort or the landscape raises it.
+    """
+
     def __init__(self, phi, f, ref):
         self.phi = phi
         self.f = f
@@ -174,14 +196,30 @@ class _Recorder:
         self.times = []
         self.states = []
         self.means = []
+        self.pending = False  # the last sample has no mean yet
 
     def record(self, t, x):
-        w = self.phi.weights(x)
+        if self.pending:
+            self.settle()
         self.times.append(t)
         self.states.append(x.copy())
-        self.means.append(float(w @ self.f(x) / w.sum()))
+        self.pending = True
+
+    def settle(self, mean=math.nan):
+        """Give the last sample its mean fitness: ``mean`` when it is finite,
+        else <f(x)>_phi evaluated at the sample's state."""
+        if not math.isfinite(mean):
+            # a non-finite stage mean is evaluated again, so that the
+            # landscape's own finiteness check raises as it would here
+            x = self.states[-1]
+            w = self.phi.weights(x)
+            mean = w @ self.f(x) / w.sum()
+        self.means.append(float(mean))
+        self.pending = False
 
     def build(self, termination):
+        if self.pending:
+            self.settle()
         states = np.array(self.states)
         lyap = integral = None
         # vector escorts induce no scalar logarithm, hence no reference diagnostics
@@ -192,17 +230,21 @@ class _Recorder:
 
 
 def _safe_integral(phi, ref, states):
-    """sum_i ref_i log_phi(x_i) per sample, with -inf markers at the boundary."""
-    out = np.empty(states.shape[0])
-    zero_limit = phi.log_zero_limit() if not phi.is_vector else math.nan
-    for i, row in enumerate(states):
-        total = 0.0
-        for r, v in zip(ref, row):
-            if r == 0.0:
-                continue
-            total += r * (phi.log(float(v)) if v > 0.0 else zero_limit)
-        out[i] = total
-    return out
+    """sum_i ref_i log_phi(x_i) per sample, with -inf markers at the boundary.
+
+    One array pass per reference coordinate, added left to right; a zero
+    coordinate contributes ref_i times ``log_zero_limit()``.
+    """
+    total = np.zeros(states.shape[0])
+    zero_limit = phi.log_zero_limit()
+    for r, col in zip(ref, states.T):
+        if r == 0.0:
+            continue
+        positive = col > 0.0
+        logs = np.full(col.shape, zero_limit)
+        logs[positive] = phi.log_array(col[positive])
+        total += r * logs
+    return total
 
 
 def integrate(
@@ -224,7 +266,7 @@ def integrate(
     trajectory ends with a ``boundary_exit`` termination; non-finite
     states end it with ``step_failure``.
     """
-    n_steps = _check_controls(t_end, step, observe_every)
+    n_steps, observe_every = _check_controls(t_end, step, observe_every)
     x = as_simplex(x0).coords.copy()
     field = _make_field(phi, f)
     strict = phi.requires_positive
@@ -238,6 +280,8 @@ def integrate(
     for k in range(n_steps):
         try:
             k1 = field(x)
+            if rec.pending:  # x is the last recorded sample
+                rec.settle(field.mean)
             k2 = field(x + 0.5 * h * k1)
             k3 = field(x + 0.5 * h * k2)
             k4 = field(x + h * k3)
@@ -246,12 +290,12 @@ def integrate(
             break
         x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t_new = (k + 1) * h
-        if not np.all(np.isfinite(x_new)):
+        if not np.isfinite(x_new).all():
             termination = Termination.step_failure(t_new)
             break
         bad = (x_new <= 0.0) if strict else (x_new < 0.0)
-        if np.any(bad):
-            termination = Termination.boundary_exit(t_new, int(np.argmax(bad)))
+        if bad.any():
+            termination = Termination.boundary_exit(t_new, int(bad.argmax()))
             break
         total = x_new.sum()
         if abs(total - 1.0) > DRIFT_TOL:
@@ -310,15 +354,18 @@ def integrate_formal_solution(
     """
     if phi.is_vector:
         raise DomainError("the formal solution needs a scalar escort with invertible log")
-    n_steps = _check_controls(t_end, step, observe_every)
+    n_steps, observe_every = _check_controls(t_end, step, observe_every)
     xs = as_simplex(x0)
     if not xs.interior:
         raise DomainError("the formal solution needs an interior initial state")
     n = xs.n
+    lo, hi = phi.log_range()
 
     def reconstruct(z):
-        g = z[n]
-        return np.array([phi.exp(float(z[i] - g)) for i in range(n)])
+        w = z[:n] - z[n]
+        if ((lo < w) & (w < hi)).all():  # the range check of phi.exp, once per stage
+            return np.array([phi._exp_impl(float(v)) for v in w])
+        return np.array([phi.exp(float(v)) for v in w])  # raises the RangeError
 
     def rhs(z):
         x = reconstruct(z)

@@ -70,8 +70,27 @@ class Escort:
         return self._exp_impl(w)
 
     def log_array(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized log_phi over positive entries (no domain checks)."""
-        return np.array([self.log(float(v)) for v in u])
+        """Vectorized log_phi over positive entries (no domain checks).
+
+        Without a closed form the arguments are sorted and log_phi is
+        accumulated outward from log_phi(1) = 0 on each side of 1, one
+        quadrature per gap between neighbouring arguments, as in ``exp``.
+        """
+        # a Python sort: numpy's sort kernels would add their pages to the resident set
+        vals = np.asarray(u, dtype=float).tolist()
+        order = sorted(range(len(vals)), key=vals.__getitem__)
+        above = [i for i in order if vals[i] >= 1.0]
+        below = [i for i in reversed(order) if vals[i] < 1.0]
+        out = np.empty(len(vals))
+        for side in (above, below):
+            last_u, last_log = 1.0, 0.0
+            for i in side:
+                last_log += gauss_kronrod(
+                    self.reciprocal, last_u, vals[i], tol=EXP_STEP_TOL, max_depth=LOG_QUAD_DEPTH
+                )
+                last_u = vals[i]
+                out[i] = last_log
+        return out
 
     def _log_closed(self, u):
         raise NotImplementedError
@@ -98,8 +117,8 @@ class Escort:
         """1/phi at an array of nodes; DomainError where phi is not positive and finite."""
         p = self(v)
         bad = ~((p > 0.0) & np.isfinite(p))
-        if np.any(bad):
-            raise DomainError(f"escort not positive at u={v[np.argmax(bad)]!r}")
+        if bad.any():
+            raise DomainError(f"escort not positive at u={v[bad.argmax()]!r}")
         return 1.0 / p
 
     def log_range(self):
@@ -148,8 +167,8 @@ def _check_range(phi, w):
 
 
 def _require_nonnegative(x, name="state"):
-    if np.any(x < 0.0):
-        i = int(np.argmin(x))
+    if (x < 0.0).any():
+        i = int(x.argmin())
         raise DomainError(f"{name} has negative coordinate {i} ({x[i]!r})", index=i)
 
 
@@ -248,8 +267,8 @@ class Power(Escort):
     def weights(self, x):
         x = np.asarray(x, dtype=float)
         _require_nonnegative(x)
-        if self.q <= 0.0 and np.any(x == 0.0):
-            i = int(np.argmin(x))
+        if self.q <= 0.0 and (x == 0.0).any():
+            i = int(x.argmin())
             raise DomainError(f"u**q undefined at coordinate {i} = 0 for q={self.q!r}", index=i)
         return x**self.q
 

@@ -65,7 +65,7 @@ class FitnessLandscape:
             out = np.asarray(self.fn(x), dtype=float)
         if out.shape != x.shape:
             raise DimensionError(f"landscape returned shape {out.shape} for state shape {x.shape}")
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise DomainError("landscape returned non-finite fitness")
         return out
 

@@ -80,7 +80,7 @@ def gauss_kronrod(f, a, b, tol=1e-10, max_depth=50):
         mid = 0.5 * (lo + hi)
         half = 0.5 * (hi - lo)
         fx = np.asarray(f(mid + half * _NODES), dtype=float)
-        if not np.all(np.isfinite(fx)):
+        if not np.isfinite(fx).all():
             raise QuadratureError(f"non-finite integrand on [{lo}, {hi}]")
         kronrod = half * float(_KRONROD @ fx)
         if abs(kronrod - half * float(_GAUSS @ fx)) <= panel_tol:

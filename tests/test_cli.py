@@ -97,6 +97,7 @@ class TestRunConfig:
             {"observe_every": 0},
             {"output": {"format": "csv"}},
             {"output": {"path": "x.csv", "format": "xml"}},
+            {"t_end": 1.0, "step": 0.3},
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, patch):
@@ -221,6 +222,45 @@ class TestRunCommand:
         assert "observe_every" in proc.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_step_not_dividing_horizon_exit_2(self, tmp_path):
+        path, _ = base_config(tmp_path, t_end=1.0, step=0.3)
+        proc = run_cli("run", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "config error" in proc.stderr and "divide" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_of_several_writer_blocks_is_bit_exact(self, tmp_path):
+        from escortdyn import Power, barycenter, integrate
+        from escortdyn.cli import CSV_BLOCK_ROWS
+        from escortdyn.landscapes import FitnessLandscape, rsp_matrix
+
+        path, _ = base_config(
+            tmp_path,
+            escort={"family": "power", "q": 2.0},
+            landscape={"matrix": [[0, 1, -1], [-1, 0, 1], [1, -1, 0]], "form": "escort"},
+            t_end=1.5,
+            observe_every=1,
+        )
+        proc = run_cli("run", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        _, rows = read_csv(tmp_path / "out" / "run.csv")
+        tr = integrate(
+            Power(2.0),
+            FitnessLandscape.matrix_escort(rsp_matrix(), Power(2.0)),
+            [0.5, 0.3, 0.2],
+            1.5,
+            1e-3,
+            observe_every=1,
+            ref=barycenter(3),
+        )
+        assert len(rows) == len(tr) == 1501 > 2 * CSV_BLOCK_ROWS
+        np.testing.assert_array_equal(rows[:, 0], tr.times)
+        np.testing.assert_array_equal(rows[:, 1:4], tr.states)
+        np.testing.assert_array_equal(rows[:, 4], tr.mean_fitness)
+        np.testing.assert_array_equal(rows[:, 5], tr.lyapunov)
+        np.testing.assert_array_equal(rows[:, 6], tr.integral_of_motion)
+
     def test_escort_form_matrix_landscape_conserves(self, tmp_path):
         # f(x) = A phi(x) with the run escort: same conservation as the builtin
         path, _ = base_config(
@@ -311,6 +351,30 @@ class TestSweepCommand:
         assert by_value[0.0]["status"] == "boundary_exit"
         assert by_value[0.0]["exit_code"] == 4
         assert by_value[1.0]["status"] == "completed"
+
+    def test_close_values_get_distinct_files(self, tmp_path):
+        path, _ = base_config(
+            tmp_path, escort={"family": "power", "q": 1.0}, t_end=0.1, refs=None,
+            output={"path": "out/o.csv", "format": "csv"},
+        )
+        proc = run_cli("sweep", "--config", str(path), "--param", "q",
+                       "--values", "1.0000001,1.0000002,2", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        outputs = [r["output"] for r in json.loads(proc.stdout)["runs"]]
+        assert outputs == ["out/o_q1.0000001.csv", "out/o_q1.0000002.csv", "out/o_q2.csv"]
+        for out in outputs:
+            assert (tmp_path / out).exists()
+
+    def test_duplicate_values_exit_2(self, tmp_path):
+        path, _ = base_config(
+            tmp_path, escort={"family": "power", "q": 1.0}, t_end=0.1, refs=None,
+            output={"path": "out/d.csv", "format": "csv"},
+        )
+        proc = run_cli("sweep", "--config", str(path), "--param", "q", "--values", "1,1.0", cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "config error" in proc.stderr and "distinct" in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_empty_values_exit_2(self, tmp_path):
         path, _ = base_config(tmp_path, escort={"family": "power", "q": 1.0})

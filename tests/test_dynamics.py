@@ -4,6 +4,7 @@ import pytest
 from escortdyn import (
     ConfigError,
     Constant,
+    Custom,
     DomainError,
     Exponential,
     FitnessLandscape,
@@ -16,10 +17,12 @@ from escortdyn import (
     barycenter,
     builtin_landscape,
     discrete_step,
+    escort_mean_fitness,
     gauge_project,
     gauge_shift,
     integrate,
     integrate_formal_solution,
+    integral_of_motion,
     rsp_matrix,
     vector_field,
 )
@@ -203,6 +206,7 @@ class TestIntegrate:
             {"t_end": 0.005, "step": 0.01},
             {"t_end": 1.0, "step": 0.01, "observe_every": 0},
             {"t_end": 1.0, "step": 0.01, "observe_every": 1.5},
+            {"t_end": 1.0, "step": 0.3},
         ],
     )
     def test_config_errors(self, kwargs):
@@ -212,6 +216,65 @@ class TestIntegrate:
     def test_domain_error_at_start_propagates(self):
         with pytest.raises(DomainError):
             integrate(Power(-1.0), RSP, [0.5, 0.5, 0.0], t_end=1.0, step=0.01)
+
+    def test_horizon_divisible_by_small_step_accepted(self):
+        tr = integrate(Identity(), RSP, [0.5, 0.3, 0.2], t_end=0.1, step=1e-3, observe_every=100)
+        assert tr.termination.ok
+        assert tr.times[-1] == pytest.approx(0.1)
+
+
+# drains x_1 through the boundary, which the exponential escort does not stop
+DRAIN = FitnessLandscape.matrix_linear([[-9.0, 0.0, 0.0], [0.0, 9.0, 0.0], [0.0, 0.0, 0.0]])
+
+
+class TestRecordedDiagnostics:
+    """The recorded mean fitness comes from the first RK4 stage at each
+    sample; it must equal a fresh evaluation bit for bit."""
+
+    @pytest.mark.parametrize(
+        "phi, f, kwargs, kind",
+        [
+            # escort form, f = A phi(x): the field's shared-weights path
+            (Power(2.0), FitnessLandscape.matrix_escort(rsp_matrix(), Power(2.0)),
+             {"t_end": 1.0, "step": 1e-2}, "completed"),
+            # 100 steps, a sample every 7: the final sample is recorded apart
+            (Identity(), RSP, {"t_end": 1.0, "step": 1e-2, "observe_every": 7}, "completed"),
+            (Exponential(), DRAIN, {"t_end": 10.0, "step": 1e-3, "observe_every": 3}, "boundary_exit"),
+        ],
+    )
+    def test_mean_fitness_matches_fresh_evaluation(self, phi, f, kwargs, kind):
+        x0 = [0.05, 0.45, 0.5] if f is DRAIN else [0.5, 0.3, 0.2]
+        tr = integrate(phi, f, x0, **kwargs)
+        assert tr.termination.kind == kind
+        assert len(tr) >= 3
+        for i, x in enumerate(tr.states):
+            assert tr.mean_fitness[i] == escort_mean_fitness(phi, f, x)
+
+    @pytest.mark.parametrize("phi", [Identity(), Power(2.0), Power(0.5), Exponential()])
+    def test_integral_of_motion_matches_analysis(self, phi):
+        ref = barycenter(3)
+        tr = integrate(phi, RSP, [0.5, 0.3, 0.2], t_end=1.0, step=1e-2, ref=ref)
+        want = [integral_of_motion(phi, ref, x) for x in tr.states]
+        np.testing.assert_allclose(tr.integral_of_motion, want, rtol=1e-15, atol=0.0)
+
+    def test_custom_integral_of_motion_matches_analysis(self):
+        phi = Custom(lambda v: v + v * v, name="v+v^2")
+        ref = barycenter(3)
+        tr = integrate(phi, RSP, [0.5, 0.3, 0.2], t_end=0.1, step=1e-2, ref=ref)
+        want = [integral_of_motion(phi, ref, x) for x in tr.states]
+        np.testing.assert_allclose(tr.integral_of_motion, want, rtol=0.0, atol=1e-11)
+
+    def test_integral_of_motion_on_a_face(self):
+        ref = barycenter(3)
+        tr = integrate(Identity(), ZERO, [0.5, 0.5, 0.0], t_end=0.1, step=1e-2, ref=ref)
+        assert np.all(np.isneginf(tr.integral_of_motion))
+        # Power(0.5) has the finite limit log_phi(0+) = -2
+        phi = Power(0.5)
+        tr = integrate(phi, ZERO, [0.5, 0.5, 0.0], t_end=0.1, step=1e-2, ref=ref)
+        third = ref.coords[0]
+        want = third * phi.log(0.5) + third * phi.log(0.5) + third * phi.log_zero_limit()
+        assert np.all(np.isfinite(tr.integral_of_motion))
+        np.testing.assert_allclose(tr.integral_of_motion, want, rtol=1e-15, atol=0.0)
 
 
 class TestScaledTimeChange:

@@ -326,6 +326,33 @@ class TestCustomQuadrature:
             escort_log(phi, float(u))
         assert count[0] <= 150 * args.size
 
+    @staticmethod
+    def stratified_args(count, seed=0):
+        """One uniform draw in each of ``count`` equal slices of [0.05, 5], shuffled."""
+        rng = np.random.default_rng(seed)
+        args = 0.05 + (5.0 - 0.05) * (np.arange(count) + rng.random(count)) / count
+        rng.shuffle(args)
+        return args
+
+    def test_log_array_matches_scalar_log(self):
+        phi = Custom(lambda v: v + v * v, name="v+v^2")
+        args = np.append(self.stratified_args(60), [1.0, 1.0, 0.999, 1.001])
+        assert np.any(args < 1.0) and np.any(args > 1.0)
+        got = phi.log_array(args)
+        want = np.array([phi.log(float(u)) for u in args])
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+        assert got[args == 1.0].tolist() == [0.0, 0.0]
+
+    def test_log_array_integrates_only_the_gaps(self):
+        args = self.stratified_args(100)
+        phi, count = counting_custom(lambda v: v + v * v)
+        phi.log_array(args)
+        incremental = count[0]
+        count[0] = 0
+        for u in args:
+            phi.log(float(u))
+        assert incremental < count[0]
+
 
 class TestConstruction:
     def test_scaled_requires_positive_beta(self):
