@@ -113,7 +113,7 @@ def integral_of_motion(phi: Escort, x_star, x) -> float:
     xs = as_simplex(x)
     if ref.n != xs.n:
         raise DomainError(f"dimension mismatch: {ref.n} vs {xs.n}")
-    return float(sum(r * phi.log(float(v)) for r, v in zip(ref.coords, xs.coords)))
+    return float(np.sum(ref.coords * phi.log(xs.coords)))
 
 
 def monotone_nonincreasing(values, per_step_tol: float = 1e-10) -> bool:

@@ -10,9 +10,11 @@ Runs are driven by a JSON config file, e.g.::
       "step": 0.001,
       "observe_every": 100,
       "refs": [0.3333333333333333, 0.3333333333333333, 0.3333333333333333],
-      "seed": 0,
       "output": {"path": "out/run.csv", "format": "csv"}
     }
+
+Numbers must be JSON numbers. An integer ``seed`` key is accepted and
+ignored: no run is random.
 
 ``run`` writes the trajectory (header ``t,x_1,...,x_n,escort_mean_fitness``
 plus ``lyapunov`` and ``integral`` columns when refs are set) and prints a
@@ -23,14 +25,15 @@ summary JSON object to stdout. Exit codes: 0 completed, 2 bad config,
 import argparse
 import json
 import math
+import operator
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
+from .analysis import monotone_nonincreasing
 from .dynamics import Trajectory, _check_controls, integrate
 from .errors import ConfigError, DomainError, EscortError
 from .escorts import Constant, Escort, Exponential, Identity, Power, Scaled
@@ -44,8 +47,14 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_MIDRUN = 4
 
-ESCORT_FAMILIES = ("identity", "scaled", "power", "constant", "exponential")
-MONOTONE_TOL = 1e-10
+# escort family -> (class, its parameters with their defaults; None marks a required one)
+ESCORTS = {
+    "identity": (Identity, {}),
+    "scaled": (Scaled, {"beta": None}),
+    "power": (Power, {"q": None}),
+    "constant": (Constant, {"c": 1.0}),
+    "exponential": (Exponential, {}),
+}
 CSV_BLOCK_ROWS = 512  # rows formatted per write: bounds the memory of a long trajectory
 
 
@@ -60,7 +69,6 @@ class RunConfig:
     step: float
     observe_every: int = 1
     refs: Optional[tuple] = None
-    seed: int = 0
     output_path: str = "trajectory.csv"
     output_format: str = "csv"
 
@@ -85,29 +93,34 @@ class RunConfig:
             if key not in raw:
                 raise ConfigError(f"config is missing {key!r}")
 
-        escort = _norm_escort(raw["escort"])
+        escort = _escort_spec(raw["escort"])
         landscape = _norm_landscape(raw["landscape"])
-        x0 = tuple(float(v) for v in raw["x0"])
+        x0 = tuple(_number(v, "x0") for v in raw["x0"])
         SimplexPoint(x0)  # validates
-        t_end = float(raw["t_end"])
-        step = float(raw["step"])
+        t_end = _number(raw["t_end"], "t_end")
+        step = _number(raw["step"], "step")
         # the integrator's own checks, including that the step divides the horizon
-        _, observe_every = _check_controls(t_end, step, raw.get("observe_every", 1))
+        observe_every = _integer(raw.get("observe_every", 1), "observe_every")
+        _check_controls(t_end, step, observe_every)
         refs = raw.get("refs")
         if refs is not None:
-            refs = tuple(float(v) for v in refs)
+            refs = tuple(_number(v, "refs") for v in refs)
             SimplexPoint(refs)
             if len(refs) != len(x0):
                 raise ConfigError("refs must have the same length as x0")
-        seed = int(raw.get("seed", 0))
+        _integer(raw.get("seed", 0), "seed")  # accepted for old configs, read by nothing
         out = raw.get("output", {"path": "trajectory.csv", "format": "csv"})
-        if not isinstance(out, dict) or "path" not in out:
-            raise ConfigError("output must be an object with a 'path'")
+        if not isinstance(out, dict) or not isinstance(out.get("path"), str):
+            raise ConfigError("output must be an object with a 'path' string")
+        if set(out) - {"path", "format"}:
+            raise ConfigError(f"output takes only 'path' and 'format', got {sorted(out)}")
         fmt = out.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {fmt!r}")
-        config = cls(escort, landscape, x0, t_end, step, observe_every, refs, seed, out["path"], fmt)
-        config.build_escort()  # the family constructors reject values such as q = inf
+        config = cls(escort, landscape, x0, t_end, step, observe_every, refs, out["path"], fmt)
+        # the family constructors reject values such as q = inf, the landscape bad matrices
+        config.build_escort()
+        config.build_landscape()
         return config
 
     def to_dict(self) -> dict:
@@ -122,21 +135,12 @@ class RunConfig:
             "step": self.step,
             "observe_every": self.observe_every,
             "refs": None if self.refs is None else list(self.refs),
-            "seed": self.seed,
             "output": {"path": self.output_path, "format": self.output_format},
         }
 
     def build_escort(self) -> Escort:
-        fam = self.escort["family"]
-        if fam == "identity":
-            return Identity()
-        if fam == "scaled":
-            return Scaled(self.escort["beta"])
-        if fam == "power":
-            return Power(self.escort["q"])
-        if fam == "constant":
-            return Constant(self.escort.get("c", 1.0))
-        return Exponential()
+        cls, _ = ESCORTS[self.escort["family"]]
+        return cls(**{k: v for k, v in self.escort.items() if k != "family"})
 
     def build_landscape(self) -> FitnessLandscape:
         if "builtin" in self.landscape:
@@ -158,27 +162,35 @@ class RunConfig:
         return f
 
 
-def _norm_escort(raw) -> dict:
+def _number(value, name) -> float:
+    """A JSON number (int or float, not bool) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, name) -> int:
+    """A JSON integer (not bool), through operator.index."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _escort_spec(raw) -> dict:
+    """The escort spec with every parameter of its family; range checks are the constructors'."""
     if not isinstance(raw, dict) or "family" not in raw:
         raise ConfigError("escort must be an object with a 'family'")
     fam = raw["family"]
-    if fam not in ESCORT_FAMILIES:
-        raise ConfigError(f"unknown escort family {fam!r} (have {ESCORT_FAMILIES})")
+    if fam not in ESCORTS:
+        raise ConfigError(f"unknown escort family {fam!r} (have {tuple(ESCORTS)})")
     out = {"family": fam}
-    if fam == "scaled":
-        if "beta" not in raw:
-            raise ConfigError("scaled escort needs 'beta'")
-        out["beta"] = float(raw["beta"])
-        if out["beta"] <= 0:
-            raise ConfigError("beta must be > 0")
-    elif fam == "power":
-        if "q" not in raw:
-            raise ConfigError("power escort needs 'q'")
-        out["q"] = float(raw["q"])
-    elif fam == "constant":
-        out["c"] = float(raw.get("c", 1.0))
-        if out["c"] <= 0:
-            raise ConfigError("c must be > 0")
+    for name, default in ESCORTS[fam][1].items():
+        if name not in raw and default is None:
+            raise ConfigError(f"{fam} escort needs {name!r}")
+        out[name] = _number(raw.get(name, default), name)
     extra = set(raw) - set(out)
     if extra:
         raise ConfigError(f"unexpected escort keys: {sorted(extra)}")
@@ -203,7 +215,7 @@ def _norm_landscape(raw) -> dict:
         if n * n != len(matrix):
             raise ConfigError("flat matrix length must be a perfect square")
         matrix = [matrix[i * n : (i + 1) * n] for i in range(n)]
-    rows = [tuple(float(v) for v in row) for row in matrix]
+    rows = [tuple(_number(v, "matrix entry") for v in row) for row in matrix]
     if any(len(r) != len(rows) for r in rows):
         raise ConfigError("matrix must be square")
     form = raw.get("form", "linear")
@@ -269,8 +281,7 @@ def summarize(traj: Trajectory) -> dict:
             drift_integral = float(np.max(np.abs(iom - iom[0])) / abs(iom[0]))
     if traj.lyapunov is not None:
         lyap = traj.lyapunov
-        finite = np.isfinite(lyap)
-        lyap_monotone = bool(np.all(np.diff(lyap[finite]) <= MONOTONE_TOL))
+        lyap_monotone = monotone_nonincreasing(lyap[np.isfinite(lyap)])
     return {
         "status": traj.termination.kind,
         "t_final": float(traj.times[-1]),
@@ -297,22 +308,28 @@ def _load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _execute(config: RunConfig, out_path: Optional[str] = None) -> tuple[int, Optional[Trajectory]]:
+def _integrate(config: RunConfig, ref) -> Optional[Trajectory]:
+    """The config's trajectory; None when the dynamic is undefined at the initial state."""
     phi = config.build_escort()
     f = config.build_landscape()
     try:
-        traj = integrate(
-            phi,
-            f,
-            np.array(config.x0),
-            config.t_end,
-            config.step,
-            observe_every=config.observe_every,
-            ref=None if config.refs is None else np.array(config.refs),
+        return integrate(
+            phi, f, np.array(config.x0), config.t_end, config.step,
+            observe_every=config.observe_every, ref=ref,
         )
     except DomainError:
+        return None
+
+
+def _execute(config: RunConfig, out_path: Optional[str] = None) -> tuple[int, Optional[Trajectory]]:
+    traj = _integrate(config, None if config.refs is None else np.array(config.refs))
+    if traj is None:
         return EXIT_DOMAIN, None
-    write_trajectory(traj, out_path or config.output_path, config.output_format)
+    path = out_path or config.output_path
+    try:
+        write_trajectory(traj, path, config.output_format)
+    except OSError as err:
+        raise ConfigError(f"cannot write output {path!r}: {err}") from None
     term = traj.termination
     if term.ok:
         return EXIT_OK, traj
@@ -347,27 +364,12 @@ def _sweep_value(config: RunConfig, param: str, value: float) -> RunConfig:
     return RunConfig.from_dict(raw)
 
 
-def _sweep_threads(n_values: int) -> int:
-    """Worker count: ESCORTDYN_THREADS (an integer >= 1) or the CPU count, at most n_values."""
-    threads = os.environ.get("ESCORTDYN_THREADS")
-    if not threads:
-        return max(1, min(os.cpu_count() or 1, n_values))
-    try:
-        count = int(threads)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(f"ESCORTDYN_THREADS must be an integer >= 1, got {threads!r}")
-    return min(count, n_values)
-
-
 def cmd_sweep(args) -> int:
     try:
         config = _load_config(args.config)
-        if args.param == "q" and config.escort["family"] != "power":
-            raise ConfigError("sweeping q needs a power-family escort")
-        if args.param == "beta" and config.escort["family"] != "scaled":
-            raise ConfigError("sweeping beta needs a scaled-family escort")
+        family = config.escort["family"]
+        if args.param not in ESCORTS[family][1]:
+            raise ConfigError(f"the {family} escort has no parameter {args.param!r} to sweep")
         try:
             values = [float(v) for v in args.values.split(",") if v.strip() != ""]
         except ValueError:
@@ -377,17 +379,12 @@ def cmd_sweep(args) -> int:
         if len(set(values)) != len(values):
             raise ConfigError(f"sweep values must be distinct, got {args.values!r}")
         configs = [_sweep_value(config, args.param, v) for v in values]
-        max_workers = _sweep_threads(len(values))
+        # the identity-escort reference of the deviation column, written nowhere
+        ref_traj = _integrate(replace(config, escort={"family": "identity"}), None)
+        outcomes = [_execute(cfg) for cfg in configs]
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
-
-    # Identity-escort reference for the deviation column.
-    ref_config = replace(config, escort={"family": "identity"})
-    ref_code, ref_traj = _execute(ref_config, out_path=os.devnull)
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        outcomes = list(pool.map(_execute, configs))
 
     runs = []
     worst = EXIT_OK

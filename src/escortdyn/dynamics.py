@@ -53,15 +53,6 @@ class Termination:
         return self.kind == "completed"
 
 
-@dataclass(frozen=True)
-class DiagnosticsRow:
-    """Per-sample diagnostics; lyapunov/integral only when a reference is set."""
-
-    escort_mean_fitness: float
-    lyapunov: Optional[float] = None
-    integral_of_motion: Optional[float] = None
-
-
 class Trajectory:
     """Time-ordered samples of an integration, with diagnostics.
 
@@ -90,18 +81,6 @@ class Trajectory:
     @property
     def n(self):
         return self.states.shape[1]
-
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
-
-    def diagnostics(self, i: int) -> DiagnosticsRow:
-        return DiagnosticsRow(
-            escort_mean_fitness=float(self.mean_fitness[i]),
-            lyapunov=None if self.lyapunov is None else float(self.lyapunov[i]),
-            integral_of_motion=(
-                None if self.integral_of_motion is None else float(self.integral_of_motion[i])
-            ),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +190,7 @@ class _Recorder:
         if not math.isfinite(mean):
             # a non-finite stage mean is evaluated again, so that the
             # landscape's own finiteness check raises as it would here
-            x = self.states[-1]
-            w = self.phi.weights(x)
-            mean = w @ self.f(x) / w.sum()
+            mean = escort_mean_fitness(self.phi, self.f, self.states[-1])
         self.means.append(float(mean))
         self.pending = False
 
@@ -232,19 +209,29 @@ class _Recorder:
 def _safe_integral(phi, ref, states):
     """sum_i ref_i log_phi(x_i) per sample, with -inf markers at the boundary.
 
-    One array pass per reference coordinate, added left to right; a zero
-    coordinate contributes ref_i times ``log_zero_limit()``.
+    One ``log`` call over every positive coordinate; a zero coordinate
+    contributes ref_i times ``log_zero_limit()``. The terms are added left
+    to right.
     """
+    positive = states > 0.0
+    logs = np.full(states.shape, phi.log_zero_limit())
+    logs[positive] = phi.log(states[positive])
     total = np.zeros(states.shape[0])
-    zero_limit = phi.log_zero_limit()
-    for r, col in zip(ref, states.T):
-        if r == 0.0:
-            continue
-        positive = col > 0.0
-        logs = np.full(col.shape, zero_limit)
-        logs[positive] = phi.log_array(col[positive])
-        total += r * logs
+    for r, col in zip(ref, logs.T):
+        if r != 0.0:
+            total += r * col
     return total
+
+
+def _rk4_step(rhs, y, h, k1=None):
+    """One classical Runge-Kutta 4 step of dy/dt = rhs(y) from y; ``k1`` is
+    rhs(y) when the caller has already evaluated it."""
+    if k1 is None:
+        k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate(
@@ -282,13 +269,10 @@ def integrate(
             k1 = field(x)
             if rec.pending:  # x is the last recorded sample
                 rec.settle(field.mean)
-            k2 = field(x + 0.5 * h * k1)
-            k3 = field(x + 0.5 * h * k2)
-            k4 = field(x + h * k3)
+            x_new = _rk4_step(field, x, h, k1)
         except DomainError as err:
             termination = Termination.boundary_exit(t_x, err.index)
             break
-        x_new = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t_new = (k + 1) * h
         if not np.isfinite(x_new).all():
             termination = Termination.step_failure(t_new)
@@ -359,13 +343,9 @@ def integrate_formal_solution(
     if not xs.interior:
         raise DomainError("the formal solution needs an interior initial state")
     n = xs.n
-    lo, hi = phi.log_range()
 
     def reconstruct(z):
-        w = z[:n] - z[n]
-        if ((lo < w) & (w < hi)).all():  # the range check of phi.exp, once per stage
-            return np.array([phi._exp_impl(float(v)) for v in w])
-        return np.array([phi.exp(float(v)) for v in w])  # raises the RangeError
+        return phi.exp(z[:n] - z[n])
 
     def rhs(z):
         x = reconstruct(z)
@@ -378,7 +358,7 @@ def integrate_formal_solution(
         return out
 
     z = np.empty(n + 1)
-    z[:n] = [phi.log(float(v)) for v in xs.coords]
+    z[:n] = phi.log(xs.coords)
     z[n] = 0.0
 
     rec = _Recorder(phi, f, None)
@@ -386,11 +366,7 @@ def integrate_formal_solution(
     h = float(step)
     recorded_last = True
     for k in range(n_steps):
-        k1 = rhs(z)
-        k2 = rhs(z + 0.5 * h * k1)
-        k3 = rhs(z + 0.5 * h * k2)
-        k4 = rhs(z + h * k3)
-        z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        z = _rk4_step(rhs, z, h)
         recorded_last = (k + 1) % observe_every == 0
         if recorded_last:
             rec.record((k + 1) * h, reconstruct(z))

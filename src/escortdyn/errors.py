@@ -2,19 +2,19 @@
 
 
 class EscortError(Exception):
-    """Base class for every error raised by escortdyn."""
+    """Base class for every error raised by escortdyn; ``index`` names the
+    offending coordinate or array entry, when there is one."""
+
+    def __init__(self, message, index=None):
+        super().__init__(message)
+        self.index = index
 
 
 class DomainError(EscortError, ValueError):
     """Input lies outside the mathematical domain of an operation.
 
-    Out-of-domain inputs are never silently clamped. Carries an optional
-    ``index`` identifying the offending coordinate.
+    Out-of-domain inputs are never silently clamped.
     """
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class DimensionError(EscortError, ValueError):

@@ -37,7 +37,11 @@ _POSITIVITY_GRID = np.arange(1, 1001) / 1001.0
 
 
 class Escort:
-    """Base class for scalar escort functions."""
+    """Base class for scalar escort functions.
+
+    A closed family defines ``_log`` and ``_exp`` once, on 1-d arrays; the
+    others integrate log_phi by quadrature and invert it by Newton steps.
+    """
 
     is_vector = False
     requires_positive = False  # True when phi is undefined at u = 0
@@ -53,31 +57,49 @@ class Escort:
 
     # -- deformed logarithm and exponential --------------------------------
 
-    def log(self, u: float, method: str = "auto") -> float:
-        """log_phi(u) for u > 0; ``method="quadrature"`` forces the integral."""
-        u = _check_log_arg(self, u)
-        if method == "auto":
-            method = "closed" if self.has_closed_log else "quadrature"
-        if method == "closed":
-            return self._log_closed(u)
-        if method == "quadrature":
-            return self._log_quadrature(u)
-        raise ValueError(f"unknown method {method!r}")
+    def log(self, u, method: str = "auto"):
+        """log_phi(u) for u > 0, at a float or a 1-d array; ``method="quadrature"``
+        forces the integral. DomainError (with ``index`` for an array) otherwise."""
+        u, scalar = _argument(u)
+        ok = np.isfinite(u) & (u > 0.0)
+        if not ok.all():
+            i = int(ok.argmin())
+            index = None if scalar else i
+            raise DomainError(f"log_phi needs u > 0, got {float(u[i])!r}", index=index)
+        if method == "quadrature" or (method == "auto" and not self.has_closed_log):
+            out = self._log_quadrature(u, scalar)
+        elif method in ("auto", "closed") and self.has_closed_log:
+            out = self._log(u)
+        else:
+            raise ValueError(f"method {method!r} not available for {type(self).__name__}")
+        return float(out[0]) if scalar else out
 
-    def exp(self, w: float) -> float:
-        """Inverse of log_phi; raises RangeError outside the attainable range."""
-        _check_range(self, w)
-        return self._exp_impl(w)
+    def exp(self, w):
+        """Inverse of log_phi at a float or a 1-d array; raises RangeError (with
+        ``index`` for an array) outside the attainable range."""
+        w, scalar = _argument(w)
+        lo, hi = self.log_range()
+        ok = (lo < w) & (w < hi)
+        if not ok.all():
+            i = int(ok.argmin())
+            index = None if scalar else i
+            message = f"w={float(w[i])!r} outside attainable log range ({lo!r}, {hi!r})"
+            raise RangeError(message, index=index)
+        out = self._exp(w)
+        return float(out[0]) if scalar else out
 
-    def log_array(self, u: np.ndarray) -> np.ndarray:
-        """Vectorized log_phi over positive entries (no domain checks).
+    def _log_quadrature(self, u, scalar):
+        """log_phi by quadrature: one integral from 1 for a scalar.
 
-        Without a closed form the arguments are sorted and log_phi is
-        accumulated outward from log_phi(1) = 0 on each side of 1, one
-        quadrature per gap between neighbouring arguments, as in ``exp``.
+        For an array the arguments are sorted and log_phi is accumulated
+        outward from log_phi(1) = 0 on each side of 1, one quadrature per
+        gap between neighbouring arguments, as in ``exp``.
         """
+        if scalar:
+            u = float(u[0])
+            return [gauss_kronrod(self.reciprocal, 1.0, u, tol=LOG_QUAD_TOL, max_depth=LOG_QUAD_DEPTH)]
         # a Python sort: numpy's sort kernels would add their pages to the resident set
-        vals = np.asarray(u, dtype=float).tolist()
+        vals = u.tolist()
         order = sorted(range(len(vals)), key=vals.__getitem__)
         above = [i for i in order if vals[i] >= 1.0]
         below = [i for i in reversed(order) if vals[i] < 1.0]
@@ -92,13 +114,10 @@ class Escort:
                 out[i] = last_log
         return out
 
-    def _log_closed(self, u):
-        raise NotImplementedError
+    def _exp(self, w):
+        return np.array([self._invert_log(v) for v in w.tolist()])
 
-    def _log_quadrature(self, u):
-        return gauss_kronrod(self.reciprocal, 1.0, u, tol=LOG_QUAD_TOL, max_depth=LOG_QUAD_DEPTH)
-
-    def _exp_impl(self, w):
+    def _invert_log(self, w):
         # log_phi at each probe is the previous probe's value plus the
         # integral over the gap between them, starting from log_phi(1) = 0.
         last_u, last_log = 1.0, 0.0
@@ -132,7 +151,7 @@ class Escort:
     # -- antiderivative of log_phi, used by the escort divergence ----------
 
     def log_antiderivative(self, u):
-        """An antiderivative of log_phi (scalar or array); None if unknown."""
+        """An antiderivative of log_phi at an array; None if unknown."""
         return None
 
     def antiderivative_zero_limit(self) -> float:
@@ -141,29 +160,24 @@ class Escort:
 
     # -- simplex-to-sphere coordinate change --------------------------------
 
-    def sphere_map(self, u: float) -> float:
-        """Antiderivative of 1/sqrt(phi), anchored at 0 when integrable there."""
+    def sphere_map(self, u: np.ndarray) -> np.ndarray:
+        """Antiderivative of 1/sqrt(phi) at an array, anchored at 0 when integrable there."""
         # Custom escorts anchor at 1: integrability at 0 is not decidable here.
-        return gauss_kronrod(
-            lambda v: np.sqrt(self.reciprocal(v)), 1.0, u, tol=LOG_QUAD_TOL, max_depth=LOG_QUAD_DEPTH
-        )
+        def integrand(v):
+            return np.sqrt(self.reciprocal(v))
+
+        return np.array([
+            gauss_kronrod(integrand, 1.0, a, tol=LOG_QUAD_TOL, max_depth=LOG_QUAD_DEPTH)
+            for a in np.asarray(u, dtype=float).tolist()
+        ])
 
 
-def _check_log_arg(phi, u):
-    u = float(u)
-    if not math.isfinite(u) or u <= 0.0:
-        raise DomainError(f"log_phi needs u > 0, got {u!r}")
-    return u
-
-
-def _check_range(phi, w):
-    w = float(w)
-    if not math.isfinite(w):
-        raise RangeError(f"exp_phi argument must be finite, got {w!r}")
-    lo, hi = phi.log_range()
-    if not (lo < w < hi):
-        raise RangeError(f"w={w!r} outside attainable log range ({lo!r}, {hi!r})")
-    return w
+def _argument(u):
+    """``u`` as a 1-d float array, and whether it was given as a scalar."""
+    arr = np.asarray(u, dtype=float)
+    if arr.ndim > 1:
+        raise DomainError(f"expected a float or a 1-d array, got shape {arr.shape}")
+    return arr.reshape(-1), arr.ndim == 0
 
 
 def _require_nonnegative(x, name="state"):
@@ -177,20 +191,17 @@ class Identity(Escort):
     """phi(u) = u: ordinary logarithm, Shahshahani weights, replicator flow."""
 
     def __call__(self, u):
-        return np.asarray(u, dtype=float) if np.ndim(u) else float(u)
+        return np.asarray(u, dtype=float)
 
     def weights(self, x):
         _require_nonnegative(x)
         return np.asarray(x, dtype=float)
 
-    def _log_closed(self, u):
-        return math.log(u)
-
-    def _exp_impl(self, w):
-        return math.exp(w)
-
-    def log_array(self, u):
+    def _log(self, u):
         return np.log(u)
+
+    def _exp(self, w):
+        return np.exp(w)
 
     def log_antiderivative(self, u):
         return u * np.log(u) - u
@@ -199,7 +210,7 @@ class Identity(Escort):
         return 0.0
 
     def sphere_map(self, u):
-        return 2.0 * math.sqrt(u)
+        return 2.0 * np.sqrt(u)
 
 
 @dataclass(frozen=True)
@@ -213,20 +224,17 @@ class Scaled(Escort):
             raise DomainError(f"Scaled escort needs beta > 0, got {self.beta!r}")
 
     def __call__(self, u):
-        return self.beta * (np.asarray(u, dtype=float) if np.ndim(u) else float(u))
+        return self.beta * np.asarray(u, dtype=float)
 
     def weights(self, x):
         _require_nonnegative(x)
         return self.beta * np.asarray(x, dtype=float)
 
-    def _log_closed(self, u):
-        return math.log(u) / self.beta
-
-    def _exp_impl(self, w):
-        return math.exp(self.beta * w)
-
-    def log_array(self, u):
+    def _log(self, u):
         return np.log(u) / self.beta
+
+    def _exp(self, w):
+        return np.exp(self.beta * w)
 
     def log_antiderivative(self, u):
         return (u * np.log(u) - u) / self.beta
@@ -235,7 +243,7 @@ class Scaled(Escort):
         return 0.0
 
     def sphere_map(self, u):
-        return 2.0 * math.sqrt(u / self.beta)
+        return 2.0 * np.sqrt(u / self.beta)
 
 
 @dataclass(frozen=True)
@@ -257,11 +265,12 @@ class Power(Escort):
         return abs(self.q - 1.0) < Q_DEGENERATE
 
     def __call__(self, u):
-        if np.ndim(u):
-            return np.asarray(u, dtype=float) ** self.q
-        u = float(u)
-        if u < 0.0 or (u == 0.0 and self.q <= 0.0):
-            raise DomainError(f"u**q undefined at u={u!r} for q={self.q!r}")
+        u = np.asarray(u, dtype=float)
+        bad = (u < 0.0) | ((u == 0.0) & (self.q <= 0.0))
+        if bad.any():
+            i = None if u.ndim == 0 else int(bad.argmax())
+            v = float(u if i is None else u[i])
+            raise DomainError(f"u**q undefined at u={v!r} for q={self.q!r}", index=i)
         return u**self.q
 
     def weights(self, x):
@@ -272,23 +281,17 @@ class Power(Escort):
             raise DomainError(f"u**q undefined at coordinate {i} = 0 for q={self.q!r}", index=i)
         return x**self.q
 
-    def _log_closed(self, u):
-        if self._near_one:
-            return math.log(u)
-        e = 1.0 - self.q
-        return (u**e - 1.0) / e
-
-    def _exp_impl(self, w):
-        if self._near_one:
-            return math.exp(w)
-        e = 1.0 - self.q
-        return (1.0 + e * w) ** (1.0 / e)
-
-    def log_array(self, u):
+    def _log(self, u):
         if self._near_one:
             return np.log(u)
         e = 1.0 - self.q
-        return (np.asarray(u, dtype=float) ** e - 1.0) / e
+        return (u**e - 1.0) / e
+
+    def _exp(self, w):
+        if self._near_one:
+            return np.exp(w)
+        e = 1.0 - self.q
+        return (1.0 + e * w) ** (1.0 / e)
 
     def log_range(self):
         if self._near_one:
@@ -304,7 +307,6 @@ class Power(Escort):
         return -math.inf
 
     def log_antiderivative(self, u):
-        u = np.asarray(u, dtype=float) if np.ndim(u) else u
         if self._near_one:
             return u * np.log(u) - u
         if abs(self.q - 2.0) < Q_DEGENERATE:
@@ -320,7 +322,7 @@ class Power(Escort):
     def sphere_map(self, u):
         e = 1.0 - 0.5 * self.q
         if abs(e) < Q_DEGENERATE:  # q = 2: anchored at 1
-            return math.log(u)
+            return np.log(u)
         if e > 0.0:  # q < 2: integrable at 0
             return u**e / e
         return (u**e - 1.0) / e  # q > 2: anchored at 1
@@ -337,21 +339,16 @@ class Constant(Escort):
             raise DomainError(f"Constant escort needs c > 0, got {self.c!r}")
 
     def __call__(self, u):
-        if np.ndim(u):
-            return np.full(np.shape(u), self.c)
-        return self.c
+        return np.full(np.shape(u), self.c)
 
     def weights(self, x):
         return np.full(len(x), self.c)
 
-    def _log_closed(self, u):
+    def _log(self, u):
         return (u - 1.0) / self.c
 
-    def _exp_impl(self, w):
+    def _exp(self, w):
         return 1.0 + self.c * w
-
-    def log_array(self, u):
-        return (np.asarray(u, dtype=float) - 1.0) / self.c
 
     def log_range(self):
         return (-1.0 / self.c, math.inf)
@@ -360,7 +357,6 @@ class Constant(Escort):
         return -1.0 / self.c
 
     def log_antiderivative(self, u):
-        u = np.asarray(u, dtype=float) if np.ndim(u) else u
         return (0.5 * u * u - u) / self.c
 
     def antiderivative_zero_limit(self):
@@ -375,19 +371,16 @@ class Exponential(Escort):
     """phi(u) = e**u: positive on the boundary, so the flow can leave the simplex."""
 
     def __call__(self, u):
-        return np.exp(u) if np.ndim(u) else math.exp(u)
+        return np.exp(u)
 
     def weights(self, x):
         return np.exp(x)
 
-    def _log_closed(self, u):
-        return math.exp(-1.0) - math.exp(-u)
+    def _log(self, u):
+        return math.exp(-1.0) - np.exp(-u)
 
-    def _exp_impl(self, w):
-        return -math.log(math.exp(-1.0) - w)
-
-    def log_array(self, u):
-        return math.exp(-1.0) - np.exp(-np.asarray(u, dtype=float))
+    def _exp(self, w):
+        return -np.log(math.exp(-1.0) - w)
 
     def log_range(self):
         # log_phi on u > 0 covers (1/e - 1, 1/e).
@@ -397,14 +390,13 @@ class Exponential(Escort):
         return math.exp(-1.0) - 1.0
 
     def log_antiderivative(self, u):
-        u = np.asarray(u, dtype=float) if np.ndim(u) else u
         return math.exp(-1.0) * u + np.exp(-u)
 
     def antiderivative_zero_limit(self):
         return 1.0
 
     def sphere_map(self, u):
-        return 2.0 * (1.0 - math.exp(-0.5 * u))
+        return 2.0 * (1.0 - np.exp(-0.5 * u))
 
 
 @dataclass(frozen=True, eq=False)
@@ -422,19 +414,17 @@ class Custom(Escort):
     requires_positive = True
 
     def __post_init__(self):
-        for v in _POSITIVITY_GRID:
-            p = self.fn(float(v))
+        for v in _POSITIVITY_GRID.tolist():
+            p = self.fn(v)
             if not (p > 0.0 and math.isfinite(p)):
                 raise DomainError(f"custom escort not strictly positive at u={v!r} ({p!r})")
 
     def __call__(self, u):
-        if np.ndim(u):
-            return np.array([self._eval(float(v)) for v in u])
-        return self._eval(float(u))
+        u = np.asarray(u, dtype=float)
+        return np.array([self._eval(v) for v in u.reshape(-1).tolist()]).reshape(u.shape)
 
     def _eval(self, u):
-        p = self.fn(u)
-        p = float(p)
+        p = float(self.fn(u))
         if not math.isfinite(p):
             raise DomainError(f"custom escort non-finite at u={u!r}")
         return p
@@ -443,7 +433,7 @@ class Custom(Escort):
         x = np.asarray(x, dtype=float)
         _require_nonnegative(x)
         w = self(x)
-        if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
+        if (w <= 0.0).any():
             i = int(np.argmin(w))
             raise DomainError(f"custom escort not positive at coordinate {i}", index=i)
         return w
@@ -490,9 +480,6 @@ class VectorValued(Escort):
     def exp(self, w):
         raise DomainError("vector-valued escorts do not induce a scalar exponential")
 
-    def sphere_map(self, u):
-        raise DomainError("vector-valued escorts do not induce a sphere transformation")
-
 
 # ---------------------------------------------------------------------------
 # Escort statistics
@@ -512,38 +499,38 @@ def escort_distribution(phi: Escort, x) -> SimplexPoint:
     return SimplexPoint(w / w.sum())
 
 
-def escort_expectation(phi: Escort, x, f) -> float:
-    """Expectation of the vector f under the escort distribution of x."""
+def _weights_and_values(phi: Escort, x, f):
+    """The escort weights at x and f as a finite vector of the same shape."""
     xs = as_simplex(x)
     f = np.asarray(f, dtype=float)
     if f.shape != xs.coords.shape:
         raise DomainError(f"f has shape {f.shape}, expected {xs.coords.shape}")
     if not np.all(np.isfinite(f)):
         raise DomainError("f must be finite")
-    w = phi.weights(xs.coords)
+    return phi.weights(xs.coords), f
+
+
+def escort_expectation(phi: Escort, x, f) -> float:
+    """Expectation of the vector f under the escort distribution of x."""
+    w, f = _weights_and_values(phi, x, f)
     return float(w @ f / w.sum())
 
 
 def escort_variance(phi: Escort, x, f) -> float:
     """Escort variance of f: the escort expectation of (f - mean)^2."""
-    xs = as_simplex(x)
-    f = np.asarray(f, dtype=float)
-    if f.shape != xs.coords.shape:
-        raise DomainError(f"f has shape {f.shape}, expected {xs.coords.shape}")
-    if not np.all(np.isfinite(f)):
-        raise DomainError("f must be finite")
-    w = phi.weights(xs.coords)
+    w, f = _weights_and_values(phi, x, f)
     z = w.sum()
     m = w @ f / z
     d = f - m
     return float(w @ (d * d) / z)
 
 
-def escort_log(phi: Escort, u: float, method: str = "auto") -> float:
-    """The deformed logarithm log_phi(u) = integral_1^u dv/phi(v)."""
+def escort_log(phi: Escort, u, method: str = "auto"):
+    """The deformed logarithm log_phi(u) = integral_1^u dv/phi(v), at a float or a 1-d array."""
     return phi.log(u, method=method)
 
 
-def escort_exp(phi: Escort, w: float) -> float:
-    """The inverse of log_phi, exact to 1e-10 in log_phi(exp_phi(w)) = w."""
+def escort_exp(phi: Escort, w):
+    """The inverse of log_phi at a float or a 1-d array, exact to 1e-10 in
+    log_phi(exp_phi(w)) = w."""
     return phi.exp(w)

@@ -100,7 +100,7 @@ def _closed_terms(phi: Escort, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         terms[interior] = (
             phi.log_antiderivative(ai)
             - phi.log_antiderivative(bi)
-            - (ai - bi) * phi.log_array(bi)
+            - (ai - bi) * phi.log(bi)
         )
 
     a_zero = (a == 0.0) & (b > 0.0)
@@ -110,7 +110,7 @@ def _closed_terms(phi: Escort, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             terms[a_zero] = math.inf
         else:
             bz = b[a_zero]
-            terms[a_zero] = l0 - phi.log_antiderivative(bz) + bz * phi.log_array(bz)
+            terms[a_zero] = l0 - phi.log_antiderivative(bz) + bz * phi.log(bz)
 
     b_zero = (b == 0.0) & (a > 0.0)
     if np.any(b_zero):
@@ -130,19 +130,22 @@ def _closed_terms(phi: Escort, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return terms
 
 
-def _quadrature_term(phi: Escort, a: float, b: float) -> float:
-    """One Bregman gap as a single integral.
+def _quadrature_terms(phi: Escort, a, b) -> float:
+    """The sum of the coordinatewise Bregman gaps, each as a single integral.
 
     By Fubini, B(a, b) = int_b^a (log_phi(u) - log_phi(b)) du
     = int_b^a (a - v) / phi(v) dv, so no inner quadrature of log_phi is needed.
     """
-    if a == b:
-        return 0.0
-    if a <= 0.0 or b <= 0.0:
-        raise DomainError("quadrature divergence needs strictly positive coordinates")
-    return gauss_kronrod(
-        lambda v: (a - v) * phi.reciprocal(v), b, a, tol=DIVERGENCE_QUAD_TOL, max_depth=50
-    )
+    total = 0.0
+    for ai, bi in zip(a, b):
+        if ai == bi:
+            continue
+        if ai <= 0.0 or bi <= 0.0:
+            raise DomainError("quadrature divergence needs strictly positive coordinates")
+        total += gauss_kronrod(
+            lambda v, ai=ai: (ai - v) * phi.reciprocal(v), bi, ai, tol=DIVERGENCE_QUAD_TOL, max_depth=50
+        )
+    return total
 
 
 def divergence_profile(phi: Escort, x_star, states: np.ndarray, allow_infinite=False) -> np.ndarray:
@@ -154,12 +157,7 @@ def divergence_profile(phi: Escort, x_star, states: np.ndarray, allow_infinite=F
     if phi.has_closed_log:
         totals = _closed_terms(phi, a[None, :], states).sum(axis=1)
     else:
-        totals = np.array(
-            [
-                sum(_quadrature_term(phi, ai, bi) for ai, bi in zip(a, row))
-                for row in states
-            ]
-        )
+        totals = np.array([_quadrature_terms(phi, a, row) for row in states])
     if not allow_infinite and np.any(np.isinf(totals)):
         raise DivergenceInfinite("escort divergence is infinite along the profile")
     return totals
@@ -180,12 +178,12 @@ def escort_divergence(phi: Escort, x, y, method: str = "auto") -> float:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
     if method == "auto":
         method = "closed" if phi.has_closed_log else "quadrature"
-    if method == "closed":
+    if method == "closed" and phi.has_closed_log:
         total = float(_closed_terms(phi, a, b).sum())
     elif method == "quadrature":
-        total = float(sum(_quadrature_term(phi, ai, bi) for ai, bi in zip(a, b)))
+        total = float(_quadrature_terms(phi, a, b))
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(f"method {method!r} not available for {type(phi).__name__}")
     if math.isinf(total):
         raise DivergenceInfinite("D_phi(x || y) is infinite for these points")
     return total
@@ -207,7 +205,7 @@ def sphere_coordinate(phi: Escort, x) -> np.ndarray:
     xs = as_simplex(x)
     if not xs.interior:
         raise DomainError("sphere coordinates need an interior point")
-    return np.array([phi.sphere_map(float(v)) for v in xs.coords])
+    return phi.sphere_map(xs.coords)
 
 
 def geodesic_distance_identity(p, q) -> float:

@@ -5,7 +5,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
-from .escorts import Escort
+from .escorts import Escort, Power
 from .simplex import random_interior
 
 
@@ -60,7 +60,7 @@ class FitnessLandscape:
         elif self.kind == "matrix_escort":
             out = self.matrix @ self.escort.weights(x)
         elif self.kind == "matrix_escort_log":
-            out = self.matrix @ np.array([self.escort.log(float(v)) for v in x])
+            out = self.matrix @ self.escort.log(x)
         else:
             out = np.asarray(self.fn(x), dtype=float)
         if out.shape != x.shape:
@@ -129,8 +129,6 @@ BUILTIN_LANDSCAPES = ("rsp", "rsp_escort_quadratic", "neg_identity", "exp_decay"
 
 def builtin_landscape(name: str) -> FitnessLandscape:
     """Resolve one of the named landscapes used by the CLI and the suite."""
-    from .escorts import Power
-
     if name == "rsp":
         return FitnessLandscape.matrix_linear(rsp_matrix(), name="rsp")
     if name == "rsp_escort_quadratic":

@@ -15,7 +15,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .analysis import fisher_rate, simplex_samples
-from .dynamics import _make_field, discrete_step, integrate, integrate_formal_solution, vector_field
+from .dynamics import (
+    _make_field,
+    _rk4_step,
+    discrete_step,
+    integrate,
+    integrate_formal_solution,
+    vector_field,
+)
 from .escorts import Constant, Custom, Exponential, Identity, Power, Scaled, escort_exp, escort_log
 from .geometry import escort_divergence, escort_metric
 from .landscapes import FitnessLandscape, builtin_landscape, gauge_shift, rsp_matrix
@@ -49,34 +56,22 @@ class Criterion:
         return CriterionResult(self.name, self.description, float(measured), tol, bool(passed), note)
 
 
-def _escort(key: str):
-    fam, _, arg = key.partition(":")
-    if fam == "identity":
-        return Identity()
-    if fam == "scaled":
-        return Scaled(float(arg))
-    if fam == "power":
-        return Power(float(arg))
-    if fam == "constant":
-        return Constant(float(arg) if arg else 1.0)
-    if fam == "exponential":
-        return Exponential()
-    raise ValueError(f"unknown escort key {key!r}")
-
-
-def _landscape(key: str):
-    if key.startswith("rsp_escort:"):
-        q = float(key.split(":", 1)[1])
-        return FitnessLandscape.matrix_escort(rsp_matrix(), Power(q))
-    return builtin_landscape(key)
+RSP_ESCORT = "rsp_escort"  # the landscape f = A phi(x): RSP matrix A, the run's escort phi
 
 
 @lru_cache(maxsize=None)
-def _traj(escort_key, landscape_key, x0, t_end, observe_every, with_ref):
+def _traj(phi, landscape, x0, t_end, observe_every, with_ref):
+    """A trajectory of the escort ``phi`` (the closed families are frozen
+    dataclasses, so equal escorts share one entry) on the builtin landscape
+    named ``landscape``, or on f = A phi(x) for ``RSP_ESCORT``."""
     ref = barycenter(len(x0)) if with_ref else None
+    if landscape == RSP_ESCORT:
+        f = FitnessLandscape.matrix_escort(rsp_matrix(), phi)
+    else:
+        f = builtin_landscape(landscape)
     return integrate(
-        _escort(escort_key),
-        _landscape(landscape_key),
+        phi,
+        f,
         np.array(x0),
         t_end,
         STEP,
@@ -100,13 +95,13 @@ def _rel_drift(series):
 
 
 def _c01_rsp_product(tol):
-    tr = _traj("identity", "rsp", X0_CYCLE, 100.0, 100, False)
+    tr = _traj(Identity(), "rsp", X0_CYCLE, 100.0, 100, False)
     drift = _rel_drift(np.prod(tr.states, axis=1))
     return drift, drift <= tol, "x1*x2*x3 along the replicator RSP orbit, t in [0, 100]"
 
 
 def _c02_poincare(tol):
-    tr = _traj("power:2", "rsp_escort:2", X0_CYCLE, 100.0, 100, False)
+    tr = _traj(Power(2), RSP_ESCORT, X0_CYCLE, 100.0, 100, False)
     drift = _rel_drift(np.sum(1.0 / tr.states, axis=1))
     return drift, drift <= tol, "1/x1 + 1/x2 + 1/x3 under the quadratic escort, t in [0, 100]"
 
@@ -114,12 +109,12 @@ def _c02_poincare(tol):
 def _c03_general_integral(tol):
     worst = 0.0
     for q in (0.5, 3.0):
-        tr = _traj(f"power:{q}", f"rsp_escort:{q}", X0_CYCLE, 100.0, 100, True)
+        tr = _traj(Power(q), RSP_ESCORT, X0_CYCLE, 100.0, 100, True)
         worst = max(worst, _rel_drift(tr.integral_of_motion))
     return worst, worst <= tol, "sum x*_i log_phi(x_i) for q in {0.5, 3}, t in [0, 100]"
 
 
-_GRADIENT_ESCORTS = ("identity", "power:0.5", "power:2", "constant:1")
+_GRADIENT_ESCORTS = (Identity(), Power(0.5), Power(2), Constant(1.0))
 
 
 def _c04_lyapunov(tol):
@@ -128,8 +123,8 @@ def _c04_lyapunov(tol):
     ratio_bound = 1e-3
     worst_rise = -math.inf
     worst_ratio = -math.inf
-    for key in _GRADIENT_ESCORTS:
-        tr = _traj(key, "neg_identity", X0_GRADIENT, 50.0, 1, True)
+    for phi in _GRADIENT_ESCORTS:
+        tr = _traj(phi, "neg_identity", X0_GRADIENT, 50.0, 1, True)
         lyap = tr.lyapunov
         worst_rise = max(worst_rise, float(np.max(np.diff(lyap))))
         worst_ratio = max(worst_ratio, float(lyap[-1] / lyap[0]))
@@ -143,24 +138,16 @@ def _c04_lyapunov(tol):
 
 def _fd_potential_rate(phi, f, x, delta=1e-5):
     field = _make_field(phi, f)
-
-    def rk4(y, h):
-        k1 = field(y)
-        k2 = field(y + 0.5 * h * k1)
-        k3 = field(y + 0.5 * h * k2)
-        k4 = field(y + h * k3)
-        return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
     x = np.asarray(x, dtype=float)
-    return (f.potential(rk4(x, delta)) - f.potential(rk4(x, -delta))) / (2.0 * delta)
+    ahead, behind = _rk4_step(field, x, delta), _rk4_step(field, x, -delta)
+    return (f.potential(ahead) - f.potential(behind)) / (2.0 * delta)
 
 
 def _c05_fisher(tol):
-    f = _landscape("neg_identity")
+    f = builtin_landscape("neg_identity")
     worst = 0.0
-    for key in _GRADIENT_ESCORTS:
-        phi = _escort(key)
-        tr = _traj(key, "neg_identity", X0_GRADIENT, 50.0, 1, True)
+    for phi in _GRADIENT_ESCORTS:
+        tr = _traj(phi, "neg_identity", X0_GRADIENT, 50.0, 1, True)
         for i in range(100, 2100, 100):  # 20 samples over t in (0, 2.1]
             x = tr.states[i]
             rate = fisher_rate(phi, f, x)
@@ -172,7 +159,7 @@ def _c05_fisher(tol):
 
 
 def _c06_nash_rest(tol):
-    f = _landscape("rsp")
+    f = builtin_landscape("rsp")
     x = barycenter(3)
     worst = 0.0
     for phi in (Identity(), Power(2), Exponential(), Constant(1.0)):
@@ -183,7 +170,7 @@ def _c06_nash_rest(tol):
 def _c07_projection(tol):
     phi = Constant(1.0)
     worst = 0.0
-    for f in (_landscape("rsp"), _landscape("exp_decay")):
+    for f in (builtin_landscape("rsp"), builtin_landscape("exp_decay")):
         for x in simplex_samples(3, 50, seed=11):
             fx = f(x.coords)
             expected = fx - fx.sum() / len(fx)
@@ -195,10 +182,10 @@ def _c08_exponential_rest(tol):
     # parts: stay within 1e-8 of the barycenter over [0, 10]; closed-form field to 1e-12
     stay_bound = 1e-8
     field_bound = 1e-12 * tol
-    tr = _traj("exponential", "exp_decay", (1 / 3, 1 / 3, 1 / 3), 10.0, 100, False)
-    stay = float(np.max(np.abs(tr.states - 1.0 / 3.0)))
     phi = Exponential()
-    f = _landscape("exp_decay")
+    tr = _traj(phi, "exp_decay", (1 / 3, 1 / 3, 1 / 3), 10.0, 100, False)
+    stay = float(np.max(np.abs(tr.states - 1.0 / 3.0)))
+    f = builtin_landscape("exp_decay")
     worst_field = 0.0
     for x in simplex_samples(3, 100, seed=23):
         v = vector_field(phi, f, x)
@@ -214,7 +201,7 @@ def _c08_exponential_rest(tol):
 
 
 def _c09_gauge(tol):
-    f = _landscape("rsp")
+    f = builtin_landscape("rsp")
     shifts = (lambda x: 5.0, lambda x: float(np.sum(x * x)))
     worst = 0.0
     for phi in (Identity(), Power(2), Exponential()):
@@ -229,8 +216,8 @@ def _c09_gauge(tol):
 
 
 def _c10_time_change(tol):
-    fast = _traj("scaled:2", "rsp", X0_CYCLE, 10.0, 10, False)
-    slow = _traj("identity", "rsp", X0_CYCLE, 20.0, 10, False)
+    fast = _traj(Scaled(2.0), "rsp", X0_CYCLE, 10.0, 10, False)
+    slow = _traj(Identity(), "rsp", X0_CYCLE, 20.0, 10, False)
     m = len(fast.states)
     dev = float(np.max(np.abs(fast.states - slow.states[::2][:m])))
     return dev, dev <= tol, "Scaled(2) at t vs Identity at 2t on RSP, t in [0, 10]"
@@ -238,20 +225,19 @@ def _c10_time_change(tol):
 
 def _c11_formal_solution(tol):
     worst = 0.0
-    for key in ("identity", "power:2"):
-        phi = _escort(key)
-        f = _landscape("rsp")
-        direct = _traj(key, "rsp", X0_CYCLE, 5.0, 10, False)
+    f = builtin_landscape("rsp")
+    for phi in (Identity(), Power(2)):
+        direct = _traj(phi, "rsp", X0_CYCLE, 5.0, 10, False)
         formal = integrate_formal_solution(phi, f, np.array(X0_CYCLE), 5.0, STEP, observe_every=10)
         worst = max(worst, float(np.max(np.abs(direct.states - formal.states))))
     return worst, worst <= tol, "exp_phi(v - G) reconstruction vs direct integration, t in [0, 5]"
 
 
 def _c12_q_ordering(tol):
-    ref = _traj("identity", "rsp", X0_CYCLE, 10.0, 10, False)
+    ref = _traj(Identity(), "rsp", X0_CYCLE, 10.0, 10, False)
     devs = []
     for q in (1.1, 1.01, 1.001):
-        tr = _traj(f"power:{q}", "rsp", X0_CYCLE, 10.0, 10, False)
+        tr = _traj(Power(q), "rsp", X0_CYCLE, 10.0, 10, False)
         devs.append(float(np.max(np.abs(tr.states - ref.states))))
     ratios = [devs[i + 1] / devs[i] for i in range(len(devs) - 1)]
     measured = max(ratios)

@@ -51,6 +51,22 @@ def base_config(tmp_path, **overrides):
     return path, cfg
 
 
+# valid JSON but invalid runs: bad landscape matrices, and values that would need coercion
+BAD_MATRICES = [
+    {"landscape": {"matrix": []}},
+    {"landscape": {"matrix": [[0.0, float("nan"), 0.0], [0.0] * 3, [0.0] * 3]}},
+    {"landscape": {"matrix": [[1e309, 0.0, 0.0], [0.0] * 3, [0.0] * 3]}},
+]
+COERCED_VALUES = [
+    {"escort": {"family": "power", "q": "2"}},
+    {"escort": {"family": "scaled", "beta": True}},
+    {"observe_every": True},
+    {"seed": 1.7},
+    {"output": {"path": "out/run.csv", "format": "csv", "mode": "w"}},
+    {"x0": ["0.5", 0.3, 0.2]},
+]
+
+
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -98,6 +114,8 @@ class TestRunConfig:
             {"output": {"format": "csv"}},
             {"output": {"path": "x.csv", "format": "xml"}},
             {"t_end": 1.0, "step": 0.3},
+            *BAD_MATRICES,
+            *COERCED_VALUES,
         ],
     )
     def test_invalid_configs_rejected(self, tmp_path, patch):
@@ -192,6 +210,38 @@ class TestRunCommand:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
         assert "config error" in proc.stderr
+
+    @pytest.mark.parametrize("patch", BAD_MATRICES + COERCED_VALUES)
+    def test_invalid_config_exit_2(self, tmp_path, patch):
+        path, _ = base_config(tmp_path, **patch)
+        proc = run_cli("run", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "config error" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_is_accepted_and_ignored(self, tmp_path):
+        outputs = []
+        for seed in (0, 7):
+            path, _ = base_config(tmp_path, seed=seed)
+            proc = run_cli("run", "--config", str(path), cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append((tmp_path / "out" / "run.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert "seed" not in RunConfig.from_dict(base_config(tmp_path)[1]).to_dict()
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_unwritable_output_exit_2(self, tmp_path, command):
+        (tmp_path / "afile").write_text("a regular file, not a directory\n")
+        path, _ = base_config(
+            tmp_path, escort={"family": "power", "q": 1.0}, t_end=0.1, refs=None,
+            output={"path": "afile/run.csv", "format": "csv"},
+        )
+        args = ["--param", "q", "--values", "0.9,1.1"] if command == "sweep" else []
+        proc = run_cli(command, "--config", str(path), *args, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "config error: cannot write output" in proc.stderr
 
     def test_missing_file_exit_2(self, tmp_path):
         proc = run_cli("run", "--config", "missing.json", cwd=tmp_path)
@@ -394,32 +444,13 @@ class TestSweepCommand:
         assert "config error" in proc.stderr
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("threads", ["abc", "0"])
-    def test_bad_thread_count_exit_2(self, tmp_path, threads):
-        path, _ = base_config(
-            tmp_path, escort={"family": "power", "q": 1.0}, t_end=0.1, refs=None,
-            output={"path": "out/t.csv", "format": "csv"},
-        )
-        proc = subprocess.run(
-            [sys.executable, "-m", "escortdyn.cli", "sweep", "--config", str(path),
-             "--param", "q", "--values", "0.9,1.1"],
-            cwd=tmp_path,
-            capture_output=True,
-            text=True,
-            env={**cli_env(), "ESCORTDYN_THREADS": threads},
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr, proc.stderr
-        assert "ESCORTDYN_THREADS" in proc.stderr
-        assert not (tmp_path / "out").exists()
-
     def test_family_mismatch_exit_2(self, tmp_path):
         path, _ = base_config(tmp_path)  # identity escort
         proc = run_cli("sweep", "--config", str(path), "--param", "q", "--values", "1,2", cwd=tmp_path)
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
 
-    def test_thread_cap_respected(self, tmp_path):
+    def test_sweep_in_minimal_environment(self, tmp_path):
         path, _ = base_config(
             tmp_path,
             escort={"family": "power", "q": 1.0},
@@ -433,10 +464,35 @@ class TestSweepCommand:
             cwd=tmp_path,
             capture_output=True,
             text=True,
-            env=cli_env({"ESCORTDYN_THREADS": "1", "PATH": "/usr/bin:/bin"}),
+            env=cli_env({"PATH": "/usr/bin:/bin"}),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
+
+
+    def test_deviation_is_from_an_identity_run(self, tmp_path):
+        from escortdyn import Identity, Power, integrate
+        from escortdyn.landscapes import FitnessLandscape, rsp_matrix
+
+        x0 = [0.5, 0.3, 0.2]
+        path, _ = base_config(
+            tmp_path,
+            escort={"family": "power", "q": 2.0},
+            landscape={"matrix": rsp_matrix().tolist(), "form": "escort"},
+            t_end=0.5,
+            output={"path": "out/r.csv", "format": "csv"},
+        )
+        proc = run_cli("sweep", "--config", str(path), "--param", "q", "--values", "1.5,2.5", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        # the reference: the identity escort, in the landscape's escort form too
+        ref = integrate(Identity(), FitnessLandscape.matrix_escort(rsp_matrix(), Identity()),
+                        x0, 0.5, 1e-3, observe_every=10)
+        for run in json.loads(proc.stdout)["runs"]:
+            q = run["value"]
+            tr = integrate(Power(q), FitnessLandscape.matrix_escort(rsp_matrix(), Power(q)),
+                           x0, 0.5, 1e-3, observe_every=10)
+            assert run["sup_deviation_from_identity"] == float(np.max(np.abs(tr.states - ref.states)))
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["r_q1.5.csv", "r_q2.5.csv"]
 
 
 class TestPaperSuiteCommand:

@@ -338,7 +338,7 @@ class TestCustomQuadrature:
         phi = Custom(lambda v: v + v * v, name="v+v^2")
         args = np.append(self.stratified_args(60), [1.0, 1.0, 0.999, 1.001])
         assert np.any(args < 1.0) and np.any(args > 1.0)
-        got = phi.log_array(args)
+        got = phi.log(args)
         want = np.array([phi.log(float(u)) for u in args])
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
         assert got[args == 1.0].tolist() == [0.0, 0.0]
@@ -346,12 +346,65 @@ class TestCustomQuadrature:
     def test_log_array_integrates_only_the_gaps(self):
         args = self.stratified_args(100)
         phi, count = counting_custom(lambda v: v + v * v)
-        phi.log_array(args)
+        phi.log(args)
         incremental = count[0]
         count[0] = 0
         for u in args:
             phi.log(float(u))
         assert incremental < count[0]
+
+
+class TestArrayArguments:
+    """``log`` and ``exp`` take a float or a 1-d array through one closed form
+    per family, so an array call equals the float calls entry by entry."""
+
+    ARGS = np.concatenate([np.linspace(0.01, 5.0, 997), [1.0, 0.1, 0.3, 1e-6, 42.0]])
+
+    @pytest.mark.parametrize("phi", SCALAR_FAMILIES + [Power(1 + 1e-12), Power(0.0), Power(-1.5)])
+    def test_log_of_array_equals_float_logs(self, phi):
+        got = phi.log(self.ARGS)
+        assert isinstance(got, np.ndarray) and got.shape == self.ARGS.shape
+        want = [phi.log(float(u)) for u in self.ARGS]
+        assert all(type(v) is float for v in want)
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("phi", SCALAR_FAMILIES + [Power(1 + 1e-12), Power(0.0), Power(-1.5)])
+    def test_exp_of_array_equals_float_exps(self, phi):
+        lo, hi = phi.log_range()
+        ws = phi.log(self.ARGS)
+        ws = ws[(lo < ws) & (ws < hi)]
+        got = phi.exp(ws)
+        assert isinstance(got, np.ndarray) and got.shape == ws.shape
+        want = [phi.exp(float(w)) for w in ws]
+        assert all(type(v) is float for v in want)
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("phi", SCALAR_FAMILIES + [custom_quadratic()])
+    @pytest.mark.parametrize("bad", [0.0, -0.5, math.nan, math.inf])
+    def test_log_of_array_reports_the_bad_index(self, phi, bad):
+        with pytest.raises(DomainError) as err:
+            phi.log(np.array([0.5, 2.0, bad, 0.7]))
+        assert err.value.index == 2
+        with pytest.raises(DomainError) as err:
+            phi.log(bad)
+        assert err.value.index is None
+
+    @pytest.mark.parametrize(
+        "phi,w",
+        [(Power(2.0), 1.0), (Power(0.5), -2.0), (Constant(1.0), -1.0), (Exponential(), 5.0),
+         (Identity(), math.inf), (Scaled(2.0), math.nan)],
+    )
+    def test_exp_of_array_reports_the_bad_index(self, phi, w):
+        with pytest.raises(RangeError) as err:
+            phi.exp(np.array([0.0, 0.1, -0.1, w]))
+        assert err.value.index == 3
+
+    def test_custom_exp_of_array(self):
+        phi = custom_quadratic()
+        ws = np.array([-1.5, -0.2, 0.0, 0.3, 0.6])
+        got = phi.exp(ws)
+        assert got.tolist() == [phi.exp(float(w)) for w in ws]
+        np.testing.assert_allclose(got, np.exp(ws) / (2.0 - np.exp(ws)), rtol=1e-9)
 
 
 class TestConstruction:

@@ -118,6 +118,15 @@ class TestEscortDivergence:
             quad = escort_divergence(phi, x, y, method="quadrature")
             assert abs(closed - quad) <= 1e-7
 
+    def test_closed_method_rejected_without_closed_form(self):
+        phi = Custom(lambda v: v + v * v, name="v+v^2")
+        with pytest.raises(ValueError, match="not available"):
+            escort_divergence(phi, [0.5, 0.5], [0.25, 0.75], method="closed")
+        with pytest.raises(ValueError, match="not available"):
+            phi.log(0.5, method="closed")
+        with pytest.raises(ValueError):
+            escort_divergence(Identity(), [0.5, 0.5], [0.25, 0.75], method="simpson")
+
     def test_custom_escort_uses_nested_quadrature(self):
         phi = Custom(lambda v: v + v * v, name="v+v^2")
         x, y = [0.5, 0.5], [0.25, 0.75]
