@@ -321,15 +321,14 @@ def _integrate(config: RunConfig, ref) -> Optional[Trajectory]:
         return None
 
 
-def _execute(config: RunConfig, out_path: Optional[str] = None) -> tuple[int, Optional[Trajectory]]:
+def _execute(config: RunConfig) -> tuple[int, Optional[Trajectory]]:
     traj = _integrate(config, None if config.refs is None else np.array(config.refs))
     if traj is None:
         return EXIT_DOMAIN, None
-    path = out_path or config.output_path
     try:
-        write_trajectory(traj, path, config.output_format)
+        write_trajectory(traj, config.output_path, config.output_format)
     except OSError as err:
-        raise ConfigError(f"cannot write output {path!r}: {err}") from None
+        raise ConfigError(f"cannot write output {config.output_path!r}: {err}") from None
     term = traj.termination
     if term.ok:
         return EXIT_OK, traj
@@ -411,6 +410,9 @@ def cmd_paper_suite(args) -> int:
     names = None
     if args.only:
         names = [n.strip() for n in args.only.split(",") if n.strip()]
+        if not names:
+            print(f"config error: --only names no criterion: {args.only!r}", file=sys.stderr)
+            return EXIT_CONFIG
         missing = [n for n in names if n not in suite.CRITERIA_BY_NAME]
         if missing:
             print(f"config error: unknown criteria {missing}", file=sys.stderr)
@@ -418,10 +420,14 @@ def cmd_paper_suite(args) -> int:
     overrides = {}
     for item in args.override or []:
         name, _, value = item.partition("=")
-        if name not in suite.CRITERIA_BY_NAME or not value:
-            print(f"config error: bad override {item!r}", file=sys.stderr)
+        try:
+            tol = float(value)
+        except ValueError:
+            tol = math.nan
+        if name not in suite.CRITERIA_BY_NAME or not math.isfinite(tol):
+            print(f"config error: bad override {item!r} (want NAME=finite number)", file=sys.stderr)
             return EXIT_CONFIG
-        overrides[name] = float(value)
+        overrides[name] = tol
     results = suite.run_suite(names=names, overrides=overrides)
     print(suite.format_report(results))
     return EXIT_OK if all(r.passed for r in results) else EXIT_SUITE_FAIL

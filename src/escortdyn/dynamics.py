@@ -4,10 +4,9 @@ The continuous dynamic is
 
     dx_i/dt = phi(x_i) * (f_i(x) - <f(x)>_phi)
 
-with <.>_phi the escort expectation; a vector-valued escort psi replaces
-phi(x_i) by psi_i(x). The flow is tangent to the simplex but not always
-forward-invariant (that holds iff phi(0) = 0), so the integrator reports
-boundary exits instead of clamping.
+with <.>_phi the escort expectation. The flow is tangent to the simplex
+but not always forward-invariant (that holds iff phi(0) = 0), so the
+integrator reports boundary exits instead of clamping.
 """
 
 import math
@@ -199,8 +198,7 @@ class _Recorder:
             self.settle()
         states = np.array(self.states)
         lyap = integral = None
-        # vector escorts induce no scalar logarithm, hence no reference diagnostics
-        if self.ref is not None and not self.phi.is_vector:
+        if self.ref is not None:
             lyap = divergence_profile(self.phi, self.ref, states, allow_infinite=True)
             integral = _safe_integral(self.phi, self.ref, states)
         return Trajectory(self.times, states, self.means, lyap, integral, termination)
@@ -336,8 +334,6 @@ def integrate_formal_solution(
     v_i(0) = log_phi(x0_i) and G(0) = 0. Raises RangeError when v_i - G
     leaves the attainable range of exp_phi.
     """
-    if phi.is_vector:
-        raise DomainError("the formal solution needs a scalar escort with invertible log")
     n_steps, observe_every = _check_controls(t_end, step, observe_every)
     xs = as_simplex(x0)
     if not xs.interior:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError
 from .numerics import gauss_kronrod, invert_increasing
-from .simplex import SimplexPoint, as_simplex
+from .simplex import as_simplex
 
 # |q - 1| below this uses the identity-escort closed forms; avoids the
 # catastrophic cancellation of (u^(1-q) - 1)/(1-q). Same guard at q = 2
@@ -43,7 +43,6 @@ class Escort:
     others integrate log_phi by quadrature and invert it by Newton steps.
     """
 
-    is_vector = False
     requires_positive = False  # True when phi is undefined at u = 0
     has_closed_log = True
 
@@ -445,42 +444,6 @@ class Custom(Escort):
         raise DomainError("custom escorts need interior points for divergences")
 
 
-@dataclass(frozen=True, eq=False)
-class VectorValued(Escort):
-    """An escort psi mapping the whole state to one weight per coordinate.
-
-    Only componentwise evaluation is supported: the induced logarithms
-    differ per coordinate, so log/exp and divergences are rejected.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    name: str = "vector"
-
-    is_vector = True
-    has_closed_log = False
-
-    def __call__(self, u):
-        raise DomainError("vector-valued escorts evaluate on full states; use weights()")
-
-    def weights(self, x):
-        x = np.asarray(x, dtype=float)
-        w = np.asarray(self.fn(x), dtype=float)
-        if w.shape != x.shape:
-            raise DomainError(
-                f"vector escort returned shape {w.shape}, expected {x.shape}"
-            )
-        if np.any(w <= 0.0) or not np.all(np.isfinite(w)):
-            i = int(np.argmin(w))
-            raise DomainError(f"vector escort not strictly positive at coordinate {i}", index=i)
-        return w
-
-    def log(self, u, method="auto"):
-        raise DomainError("vector-valued escorts do not induce a scalar logarithm")
-
-    def exp(self, w):
-        raise DomainError("vector-valued escorts do not induce a scalar exponential")
-
-
 # ---------------------------------------------------------------------------
 # Escort statistics
 # ---------------------------------------------------------------------------
@@ -492,33 +455,15 @@ def partition_function(phi: Escort, x) -> float:
     return float(phi.weights(xs.coords).sum())
 
 
-def escort_distribution(phi: Escort, x) -> SimplexPoint:
-    """The state phi(x) / Z_phi(x)."""
-    xs = as_simplex(x)
-    w = phi.weights(xs.coords)
-    return SimplexPoint(w / w.sum())
-
-
-def _weights_and_values(phi: Escort, x, f):
-    """The escort weights at x and f as a finite vector of the same shape."""
+def escort_variance(phi: Escort, x, f) -> float:
+    """Escort variance of f: the escort expectation of (f - mean)^2."""
     xs = as_simplex(x)
     f = np.asarray(f, dtype=float)
     if f.shape != xs.coords.shape:
         raise DomainError(f"f has shape {f.shape}, expected {xs.coords.shape}")
     if not np.all(np.isfinite(f)):
         raise DomainError("f must be finite")
-    return phi.weights(xs.coords), f
-
-
-def escort_expectation(phi: Escort, x, f) -> float:
-    """Expectation of the vector f under the escort distribution of x."""
-    w, f = _weights_and_values(phi, x, f)
-    return float(w @ f / w.sum())
-
-
-def escort_variance(phi: Escort, x, f) -> float:
-    """Escort variance of f: the escort expectation of (f - mean)^2."""
-    w, f = _weights_and_values(phi, x, f)
+    w = phi.weights(xs.coords)
     z = w.sum()
     m = w @ f / z
     d = f - m

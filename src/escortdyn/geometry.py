@@ -12,49 +12,19 @@ from .simplex import SimplexPoint, as_simplex
 DIVERGENCE_QUAD_TOL = 1e-9  # quadrature tolerance, per coordinate
 
 
-class DiagonalMetric:
-    """A diagonal Riemannian metric; entries must be strictly positive."""
-
-    __slots__ = ("diag",)
-
-    def __init__(self, diag):
-        arr = np.array(diag, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise DimensionError("metric diagonal must be a 1-d vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise DomainError("metric diagonal must be finite and strictly positive")
-        arr.flags.writeable = False
-        self.diag = arr
-
-    @property
-    def n(self):
-        return self.diag.size
-
-    def __repr__(self):
-        return f"DiagonalMetric({self.diag.tolist()!r})"
-
-
-def escort_metric(phi: Escort, x) -> DiagonalMetric:
-    """The metric with diagonal 1/phi(x_i) (or 1/psi_i(x) for vector escorts)."""
+def escort_metric(phi: Escort, x) -> np.ndarray:
+    """The diagonal 1/phi(x_i) of the escort metric at an interior x, as a read-only array."""
     xs = as_simplex(x)
     if not xs.interior:
         raise DomainError("escort metric needs an interior point")
     w = phi.weights(xs.coords)
-    if np.any(w <= 0.0):
-        i = int(np.argmin(w))
-        raise DomainError(f"escort vanishes at coordinate {i}", index=i)
-    return DiagonalMetric(1.0 / w)
-
-
-def metric_inner_product(metric: DiagonalMetric, a, b) -> float:
-    """<a, b> under a diagonal metric: sum_i m_i a_i b_i."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != (metric.n,) or b.shape != (metric.n,):
-        raise DimensionError(
-            f"expected vectors of shape ({metric.n},), got {a.shape} and {b.shape}"
-        )
-    return float(np.sum(metric.diag * a * b))
+    bad = ~((w > 0.0) & np.isfinite(w))
+    if bad.any():
+        i = int(bad.argmax())
+        raise DomainError(f"escort not positive and finite at coordinate {i}", index=i)
+    g = 1.0 / w
+    g.flags.writeable = False
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +140,6 @@ def escort_divergence(phi: Escort, x, y, method: str = "auto") -> float:
     Gauss-Kronrod integral of (x_i - v)/phi(v) per coordinate); the default
     uses the family closed form when one exists.
     """
-    if phi.is_vector:
-        raise DomainError("escort divergences are not defined for vector-valued escorts")
     a = _coerce_nonneg(x, "x")
     b = _coerce_nonneg(y, "y")
     if a.shape != b.shape:
@@ -200,8 +168,6 @@ def sphere_coordinate(phi: Escort, x) -> np.ndarray:
     Anchored at 0 when the integral converges there (identity escort gives
     2*sqrt(x), the radius-2 sphere chart), otherwise at 1.
     """
-    if phi.is_vector:
-        raise DomainError("sphere coordinates are not defined for vector-valued escorts")
     xs = as_simplex(x)
     if not xs.interior:
         raise DomainError("sphere coordinates need an interior point")

@@ -145,12 +145,6 @@ def builtin_landscape(name: str) -> FitnessLandscape:
 # ---------------------------------------------------------------------------
 
 
-def gauge_project(A) -> np.ndarray:
-    """Center each column of a square matrix so that it sums to zero."""
-    A = _check_square(A)
-    return A - A.mean(axis=0, keepdims=True)
-
-
 def gauge_shift(f: FitnessLandscape, g: Callable) -> FitnessLandscape:
     """The landscape x -> f(x) + g(x) * (1, ..., 1).
 

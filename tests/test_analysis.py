@@ -6,11 +6,13 @@ import pytest
 from escortdyn import (
     ConfigError,
     Constant,
+    Exponential,
     Identity,
     Power,
     SimplexPoint,
     barycenter,
     builtin_landscape,
+    escort_divergence,
     ess_check_sampled,
     fisher_rate,
     integral_of_motion,
@@ -18,8 +20,10 @@ from escortdyn import (
     is_rest_point,
     lyapunov_series,
     monotone_nonincreasing,
+    rsp_matrix,
     vector_field,
 )
+from escortdyn.analysis import simplex_samples
 from escortdyn.dynamics import _make_field
 from escortdyn.landscapes import FitnessLandscape
 
@@ -187,8 +191,49 @@ class TestRestPointNeutrality:
             assert abs(float(x @ RSP(x))) <= 1e-12
 
     def test_nash_rest_point_all_escorts(self):
-        from escortdyn import Exponential
-
         for phi in GRADIENT_ESCORTS + [Exponential()]:
             v = vector_field(phi, RSP, barycenter(3))
             assert np.max(np.abs(v)) <= 1e-12
+
+
+class TestEscortESSTheorem:
+    """The paper's stability result: at an interior ESS x*, D_phi(x* || x) is a
+    Lyapunov function of the escort flow for every escort, with
+    dD/dt = -(x* - x) . f(x) (the replicator case is in Hofbauer & Sigmund,
+    Evolutionary Games and Population Dynamics, 1998)."""
+
+    # -I + RSP: the barycenter is an ESS with margin (x* - x) . f(x) = |x - x*|^2
+    ESS_GAME = FitnessLandscape.matrix_linear(-np.eye(3) + rsp_matrix(), name="-I+rsp")
+    # I + RSP: the barycenter is a rest point with margin -|x - x*|^2, not an ESS
+    ANTI_GAME = FitnessLandscape.matrix_linear(np.eye(3) + rsp_matrix(), name="I+rsp")
+    ESCORTS = [Identity(), Power(0.5), Power(2.0), Exponential(), Constant(1.0)]
+
+    def test_barycenter_is_sampled_ess(self):
+        assert ess_check_sampled(self.ESS_GAME, barycenter(3), 500, seed=0).passed
+
+    @pytest.mark.parametrize("phi", ESCORTS)
+    def test_divergence_to_ess_is_lyapunov(self, phi):
+        x_star = barycenter(3)
+        assert is_rest_point(phi, self.ESS_GAME, x_star, tol=1e-12)
+        tr = integrate(phi, self.ESS_GAME, [0.6, 0.3, 0.1], t_end=5.0, step=0.01)
+        assert tr.termination.ok
+        assert np.all(np.diff(lyapunov_series(phi, tr, x_star)) < 0.0)
+
+    @pytest.mark.parametrize("phi", ESCORTS)
+    def test_divergence_rate_along_field(self, phi):
+        x_star = barycenter(3).coords
+        h = 1e-5
+        for x in simplex_samples(3, 10, seed=11):
+            v = vector_field(phi, self.ESS_GAME, x)
+            d_plus = escort_divergence(phi, x_star, x.coords + h * v)
+            d_minus = escort_divergence(phi, x_star, x.coords - h * v)
+            rate = -float((x_star - x.coords) @ self.ESS_GAME(x.coords))
+            assert abs((d_plus - d_minus) / (2.0 * h) - rate) <= 1e-8 * abs(rate)
+
+    def test_rest_point_that_is_not_ess(self):
+        x_star = barycenter(3)
+        assert is_rest_point(Identity(), self.ANTI_GAME, x_star, tol=1e-12)
+        report = ess_check_sampled(self.ANTI_GAME, x_star, 500, seed=0)
+        assert report.verdict == "failed_at" and report.failure_point is not None
+        tr = integrate(Identity(), self.ANTI_GAME, [0.35, 0.33, 0.32], t_end=5.0, step=0.01)
+        assert np.all(np.diff(lyapunov_series(Identity(), tr, x_star)) > 0.0)

@@ -529,6 +529,22 @@ class TestPaperSuiteCommand:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
 
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+    def test_non_finite_override_exit_2(self, tmp_path, value):
+        proc = run_cli(
+            "paper-suite", "--only", "gauge_invariance", "--override", f"gauge_invariance={value}",
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "config error:" in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+
+    def test_only_naming_no_criterion_exit_2(self, tmp_path):
+        proc = run_cli("paper-suite", "--only", " , ", cwd=tmp_path)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "config error:" in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+
     def test_main_entry_returns_int(self, tmp_path):
         code = main(["paper-suite", "--only", "discrete_map_forms"])
         assert code == 0

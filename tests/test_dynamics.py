@@ -13,12 +13,10 @@ from escortdyn import (
     Power,
     Scaled,
     SimplexPoint,
-    VectorValued,
     barycenter,
     builtin_landscape,
     discrete_step,
     escort_mean_fitness,
-    gauge_project,
     gauge_shift,
     integrate,
     integrate_formal_solution,
@@ -72,20 +70,6 @@ class TestVectorField:
             v = vector_field(phi, builtin_landscape("neg_identity"), x)
             assert abs(v.sum()) <= 1e-12
 
-    def test_tangency_vector_escort(self):
-        psi = VectorValued(lambda x: np.exp(2.0 * x), name="fermi")
-        for x in simplex_samples(3, 1000, seed=5):
-            v = vector_field(psi, RSP, x)
-            assert abs(v.sum()) <= 1e-12
-
-    def test_vector_escort_componentwise_form(self):
-        psi = VectorValued(lambda x: np.array([1.0, 2.0, 3.0]) * x, name="pressures")
-        x = SimplexPoint([0.5, 0.25, 0.25])
-        w = np.array([0.5, 0.5, 0.75])
-        fx = RSP(x.coords)
-        expected = w * (fx - w @ fx / w.sum())
-        np.testing.assert_allclose(vector_field(psi, RSP, x), expected, atol=1e-15)
-
     def test_q_deformed_matches_formula(self):
         phi = Power(2.0)
         for x in simplex_samples(3, 20, seed=6):
@@ -96,22 +80,6 @@ class TestVectorField:
 
 
 class TestGauge:
-    def test_project_zero_matrix(self):
-        np.testing.assert_array_equal(gauge_project(np.zeros((3, 3))), np.zeros((3, 3)))
-
-    def test_project_leaves_centered_matrix(self):
-        np.testing.assert_array_equal(gauge_project(rsp_matrix()), rsp_matrix())
-
-    def test_project_identity_two_by_two(self):
-        out = gauge_project(np.eye(2))
-        np.testing.assert_allclose(out, [[0.5, -0.5], [-0.5, 0.5]])
-
-    def test_projected_columns_sum_to_zero(self):
-        rng = np.random.default_rng(7)
-        A = rng.normal(size=(4, 4))
-        out = gauge_project(A)
-        np.testing.assert_allclose(out.sum(axis=0), np.zeros(4), atol=1e-14)
-
     def test_shift_by_zero_gives_same_values(self):
         shifted = gauge_shift(RSP, lambda x: 0.0)
         for x in simplex_samples(3, 10, seed=8):
@@ -189,12 +157,6 @@ class TestIntegrate:
         tr = integrate(Identity(), ZERO, [0.5, 0.5, 0.0], t_end=0.1, step=1e-2, ref=barycenter(3))
         assert np.all(np.isinf(tr.lyapunov))
         assert np.all(np.isneginf(tr.integral_of_motion))
-
-    def test_vector_escort_integrates_without_reference_diagnostics(self):
-        psi = VectorValued(lambda x: np.exp(x), name="soft")
-        tr = integrate(psi, RSP, [0.5, 0.3, 0.2], t_end=0.5, step=1e-2, ref=barycenter(3))
-        assert tr.termination.kind in ("completed", "boundary_exit")
-        assert tr.lyapunov is None and tr.integral_of_motion is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -351,11 +313,6 @@ class TestFormalSolution:
         with pytest.raises(RangeError) as err:
             integrate_formal_solution(Constant(1.0), push, [0.1, 0.4, 0.5], t_end=5.0, step=1e-3)
         assert err.value.index == 0  # the drained coordinate leaves the range of exp_phi
-
-    def test_rejects_vector_escorts(self):
-        psi = VectorValued(lambda x: x + 1.0)
-        with pytest.raises(DomainError):
-            integrate_formal_solution(psi, RSP, [0.5, 0.3, 0.2], t_end=1.0, step=0.01)
 
 
 class TestLandscapes:

@@ -8,17 +8,16 @@ from escortdyn import (
     Custom,
     DomainError,
     Exponential,
+    FitnessLandscape,
     Identity,
     Power,
     QuadratureError,
     RangeError,
     Scaled,
     SimplexPoint,
-    VectorValued,
-    escort_distribution,
     escort_exp,
-    escort_expectation,
     escort_log,
+    escort_mean_fitness,
     escort_variance,
     partition_function,
 )
@@ -63,59 +62,40 @@ class TestPartitionFunction:
             partition_function(Power(-1.0), SimplexPoint([0.5, 0.5, 0.0]))
 
 
-class TestEscortDistribution:
-    def test_identity_is_identity_map(self):
-        out = escort_distribution(Identity(), X)
-        np.testing.assert_array_equal(out.coords, X.coords)
-
-    def test_constant_maps_to_barycenter(self):
-        out = escort_distribution(Constant(1.0), X)
-        np.testing.assert_allclose(out.coords, [1 / 3, 1 / 3, 1 / 3], rtol=0, atol=1e-15)
-
-    def test_power_two_hand_value(self):
-        out = escort_distribution(Power(2.0), X)
-        np.testing.assert_allclose(out.coords, [2 / 3, 1 / 6, 1 / 6], rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("phi", SCALAR_FAMILIES)
-    def test_output_is_simplex_point(self, phi):
-        out = escort_distribution(phi, X)
-        assert isinstance(out, SimplexPoint)
-        assert abs(out.coords.sum() - 1.0) <= 1e-12
+def escort_mean(phi, x, f):
+    """The escort expectation <f>_phi of a fixed fitness vector f at x."""
+    return escort_mean_fitness(phi, FitnessLandscape.custom(lambda _: f), x)
 
 
 class TestEscortExpectation:
     def test_identity_is_dot_product(self):
         f = np.array([1.0, -2.0, 0.5])
-        assert escort_expectation(Identity(), X, f) == pytest.approx(float(X.coords @ f), abs=1e-15)
+        assert escort_mean(Identity(), X, f) == pytest.approx(float(X.coords @ f), abs=1e-15)
 
     @pytest.mark.parametrize("phi", SCALAR_FAMILIES)
     def test_constant_vector_gives_the_constant(self, phi):
         f = np.full(3, 2.5)
-        assert escort_expectation(phi, X, f) == pytest.approx(2.5, abs=1e-12)
+        assert escort_mean(phi, X, f) == pytest.approx(2.5, abs=1e-12)
 
     def test_constant_escort_averages(self):
         f = np.array([0.0, 1.0, 2.0])
-        assert escort_expectation(Constant(1.0), X, f) == pytest.approx(1.0, abs=1e-15)
+        assert escort_mean(Constant(1.0), X, f) == pytest.approx(1.0, abs=1e-15)
 
     @pytest.mark.parametrize("phi", SCALAR_FAMILIES)
     def test_within_bounds(self, phi):
         rng = np.random.default_rng(3)
         for _ in range(20):
             f = rng.normal(size=3)
-            m = escort_expectation(phi, X, f)
+            m = escort_mean(phi, X, f)
             assert f.min() - 1e-12 <= m <= f.max() + 1e-12
 
     @pytest.mark.parametrize("phi", SCALAR_FAMILIES)
     def test_affine_equivariance(self, phi):
         rng = np.random.default_rng(4)
         f = rng.normal(size=3)
-        base = escort_expectation(phi, X, f)
+        base = escort_mean(phi, X, f)
         for c in (-3.0, 0.1, 7.5):
-            assert escort_expectation(phi, X, f + c) == pytest.approx(base + c, abs=1e-12)
-
-    def test_rejects_wrong_length(self):
-        with pytest.raises(DomainError):
-            escort_expectation(Identity(), X, [1.0, 2.0])
+            assert escort_mean(phi, X, f + c) == pytest.approx(base + c, abs=1e-12)
 
 
 class TestEscortVariance:
@@ -136,6 +116,10 @@ class TestEscortVariance:
         rng = np.random.default_rng(5)
         for _ in range(20):
             assert escort_variance(phi, X, rng.normal(size=3)) >= 0.0
+
+    def test_rejects_wrong_length(self):
+        with pytest.raises(DomainError):
+            escort_variance(Identity(), X, [1.0, 2.0])
 
 
 class TestEscortLog:
@@ -426,34 +410,6 @@ class TestConstruction:
     def test_positive_on_unit_interval(self, phi):
         for u in np.linspace(1e-3, 1 - 1e-3, 1000):
             assert phi(float(u)) > 0.0
-
-
-class TestVectorValued:
-    def make(self):
-        return VectorValued(lambda x: np.array([1.0, 2.0, 3.0]) * x, name="pressures")
-
-    def test_componentwise_weights(self):
-        psi = self.make()
-        np.testing.assert_allclose(psi.weights(X.coords), [0.5, 0.5, 0.75])
-
-    def test_statistics_use_vector_weights(self):
-        psi = self.make()
-        f = np.array([1.0, 0.0, -1.0])
-        w = np.array([0.5, 0.5, 0.75])
-        assert partition_function(psi, X) == pytest.approx(w.sum())
-        assert escort_expectation(psi, X, f) == pytest.approx(float(w @ f / w.sum()))
-
-    def test_log_and_exp_rejected(self):
-        psi = self.make()
-        with pytest.raises(DomainError):
-            escort_log(psi, 0.5)
-        with pytest.raises(DomainError):
-            escort_exp(psi, 0.5)
-
-    def test_positivity_enforced(self):
-        psi = VectorValued(lambda x: x - 0.3, name="signed")
-        with pytest.raises(DomainError):
-            psi.weights(X.coords)
 
 
 class TestSimplexPoint:

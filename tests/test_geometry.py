@@ -6,7 +6,6 @@ import pytest
 from escortdyn import (
     Constant,
     Custom,
-    DiagonalMetric,
     DimensionError,
     DivergenceInfinite,
     DomainError,
@@ -15,11 +14,9 @@ from escortdyn import (
     Power,
     Scaled,
     SimplexPoint,
-    VectorValued,
     escort_divergence,
     escort_metric,
     geodesic_distance_identity,
-    metric_inner_product,
     sphere_coordinate,
 )
 from escortdyn.analysis import simplex_samples
@@ -30,47 +27,25 @@ NONDECREASING = [Identity(), Scaled(2.0), Power(0.5), Power(2.0), Power(3.0), Co
 class TestEscortMetric:
     def test_identity_shahshahani(self):
         m = escort_metric(Identity(), SimplexPoint([0.5, 0.5]))
-        np.testing.assert_allclose(m.diag, [2.0, 2.0])
+        np.testing.assert_allclose(m, [2.0, 2.0])
+        assert not m.flags.writeable
 
     def test_constant_euclidean(self):
         m = escort_metric(Constant(1.0), SimplexPoint([0.5, 0.3, 0.2]))
-        np.testing.assert_allclose(m.diag, [1.0, 1.0, 1.0])
+        np.testing.assert_allclose(m, [1.0, 1.0, 1.0])
 
     def test_power_two_hand_values(self):
         m = escort_metric(Power(2.0), SimplexPoint([0.5, 0.25, 0.25]))
-        np.testing.assert_allclose(m.diag, [4.0, 16.0, 16.0])
-
-    def test_vector_escort_reciprocal_weights(self):
-        psi = VectorValued(lambda x: np.array([1.0, 2.0, 4.0]) * x)
-        m = escort_metric(psi, SimplexPoint([0.5, 0.25, 0.25]))
-        np.testing.assert_allclose(m.diag, [2.0, 2.0, 1.0])
+        np.testing.assert_allclose(m, [4.0, 16.0, 16.0])
 
     def test_requires_interior(self):
         with pytest.raises(DomainError):
             escort_metric(Identity(), SimplexPoint([1.0, 0.0]))
 
     def test_positive_definite_enforced(self):
-        with pytest.raises(DomainError):
-            DiagonalMetric([1.0, 0.0])
-
-
-class TestInnerProduct:
-    def test_euclidean_case(self):
-        m = DiagonalMetric([1.0, 1.0])
-        a, b = np.array([1.0, 2.0]), np.array([3.0, -1.0])
-        assert metric_inner_product(m, a, b) == pytest.approx(float(a @ b))
-
-    def test_scaled_case(self):
-        m = DiagonalMetric([2.0, 2.0])
-        assert metric_inner_product(m, [1.0, 0.0], [1.0, 0.0]) == 2.0
-
-    def test_hand_sum(self):
-        m = DiagonalMetric([4.0, 16.0, 16.0])
-        assert metric_inner_product(m, np.ones(3), np.ones(3)) == 36.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            metric_inner_product(DiagonalMetric([1.0, 2.0]), [1.0], [1.0, 2.0])
+        # x**-2 overflows at x = 1e-200: the metric entry 1/phi would be 0
+        with np.errstate(over="ignore"), pytest.raises(DomainError):
+            escort_metric(Power(-2.0), SimplexPoint([1e-200, 1.0 - 1e-200]))
 
 
 class TestEscortDivergence:
@@ -182,7 +157,7 @@ class TestEscortDivergence:
     @pytest.mark.parametrize("phi", [Identity(), Power(2.0)])
     def test_hessian_recovers_metric(self, phi):
         x = np.array([0.5, 0.3, 0.2])
-        diag = escort_metric(phi, SimplexPoint(x)).diag
+        diag = escort_metric(phi, SimplexPoint(x))
         h = 1e-4
         for i in range(3):
             e = np.zeros(3)
@@ -205,11 +180,6 @@ class TestEscortDivergence:
     def test_power_below_one_finite_at_boundary(self):
         d = escort_divergence(Power(0.5), [0.5, 0.5], [1.0, 0.0])
         assert math.isfinite(d) and d > 0.0
-
-    def test_vector_escorts_rejected(self):
-        psi = VectorValued(lambda x: x + 1.0)
-        with pytest.raises(DomainError):
-            escort_divergence(psi, [0.5, 0.5], [0.25, 0.75])
 
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -244,6 +214,30 @@ class TestSphereCoordinate:
     def test_requires_interior(self):
         with pytest.raises(DomainError):
             sphere_coordinate(Identity(), SimplexPoint([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "phi",
+        [Identity(), Scaled(2.0), Power(0.5), Power(2.0), Power(3.0), Constant(2.0), Exponential(),
+         Custom(lambda v: v + v * v, name="v+v^2")],
+        ids=repr,
+    )
+    def test_pullback_of_euclidean_metric_is_escort_metric(self, phi):
+        # the chart s_i = S(x_i) with S' = 1/sqrt(phi) pulls the Euclidean metric
+        # back to diag(1/phi(x_i)): the escort generalization of Shahshahani's
+        # sphere picture (Shahshahani, 1979)
+        x = np.array([0.5, 0.3, 0.2])
+        h = 1e-6
+        slope = (phi.sphere_map(x + h) - phi.sphere_map(x - h)) / (2.0 * h)
+        np.testing.assert_allclose(slope**2, escort_metric(phi, x), rtol=1e-7)
+
+    def test_identity_geodesic_is_great_circle_of_chart(self):
+        # the identity chart lands on the sphere of radius 2, where the
+        # great-circle distance is 2 * arccos(s_p . s_q / 4)
+        for p, q in zip(simplex_samples(4, 20, seed=40), simplex_samples(4, 20, seed=41)):
+            s_p = sphere_coordinate(Identity(), p)
+            s_q = sphere_coordinate(Identity(), q)
+            expected = 2.0 * math.acos(float(s_p @ s_q) / 4.0)
+            assert geodesic_distance_identity(p, q) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 class TestGeodesicDistance:
