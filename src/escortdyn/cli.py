@@ -417,6 +417,9 @@ def cmd_paper_suite(args) -> int:
         if missing:
             print(f"config error: unknown criteria {missing}", file=sys.stderr)
             return EXIT_CONFIG
+        if len(set(names)) != len(names):
+            print(f"config error: --only names must be distinct, got {args.only!r}", file=sys.stderr)
+            return EXIT_CONFIG
     overrides = {}
     for item in args.override or []:
         name, _, value = item.partition("=")
@@ -427,9 +430,18 @@ def cmd_paper_suite(args) -> int:
         if name not in suite.CRITERIA_BY_NAME or not math.isfinite(tol):
             print(f"config error: bad override {item!r} (want NAME=finite number)", file=sys.stderr)
             return EXIT_CONFIG
+        if names is not None and name not in names:
+            print(f"config error: override {item!r} names a criterion --only does not select",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+        if name in overrides:
+            print(f"config error: {name} is overridden twice", file=sys.stderr)
+            return EXIT_CONFIG
         overrides[name] = tol
+    plan = suite.integrate_runs(suite.plan(suite.select(names)))
     results = suite.run_suite(names=names, overrides=overrides)
     print(suite.format_report(results))
+    print(plan)
     return EXIT_OK if all(r.passed for r in results) else EXIT_SUITE_FAIL
 
 

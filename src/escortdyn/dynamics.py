@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, PositivityError
+from .errors import ConfigError, DimensionError, DomainError, PositivityError
 from .escorts import Escort
 from .geometry import divergence_profile
 from .landscapes import FitnessLandscape
@@ -256,6 +256,8 @@ def integrate(
     field = _make_field(phi, f)
     strict = phi.requires_positive
     rec = _Recorder(phi, f, ref)
+    if rec.ref is not None and rec.ref.size != x.size:  # fail before the first step, not after
+        raise DimensionError(f"states must have shape (m, {rec.ref.size})")
     rec.record(0.0, x)
 
     termination = None

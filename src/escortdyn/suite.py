@@ -5,17 +5,28 @@ tolerance. Composite criteria (several sub-checks with different bounds)
 normalize each part by its own bound and report the worst ratio against a
 tolerance of 1. The suite is deterministic: sampled states use fixed seeds
 and the integrator is a fixed-step method.
+
+A criterion declares the trajectories it needs as ``Run`` data.
+``run_suite`` collects the selected criteria's runs, drops duplicates and
+integrates the rest across the CPUs this process may use, one forked child
+per share beyond the first; each criterion then reads its trajectories from
+the cache. The plan changes where a run is integrated, never its result.
 """
 
 import math
+import os
+import pickle
+import signal
+import time
+from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .analysis import fisher_rate, simplex_samples
 from .dynamics import (
+    Trajectory,
     _make_field,
     _rk4_step,
     discrete_step,
@@ -23,7 +34,17 @@ from .dynamics import (
     integrate_formal_solution,
     vector_field,
 )
-from .escorts import Constant, Custom, Exponential, Identity, Power, Scaled, escort_exp, escort_log
+from .escorts import (
+    Constant,
+    Custom,
+    Escort,
+    Exponential,
+    Identity,
+    Power,
+    Scaled,
+    escort_exp,
+    escort_log,
+)
 from .geometry import escort_divergence, escort_metric
 from .landscapes import FitnessLandscape, builtin_landscape, gauge_shift, rsp_matrix
 from .simplex import barycenter
@@ -48,36 +69,88 @@ class Criterion:
     name: str
     description: str
     tolerance: float
-    fn: Callable  # fn(tolerance) -> (measured, passed, note)
+    fn: Callable  # fn(tolerance, *trajectories of runs) -> (measured, passed, note)
+    runs: tuple = ()  # the Runs whose trajectories fn takes, in order
 
     def run(self, tolerance: Optional[float] = None) -> CriterionResult:
         tol = self.tolerance if tolerance is None else float(tolerance)
-        measured, passed, note = self.fn(tol)
+        measured, passed, note = self.fn(tol, *map(_traj, self.runs))
         return CriterionResult(self.name, self.description, float(measured), tol, bool(passed), note)
 
 
 RSP_ESCORT = "rsp_escort"  # the landscape f = A phi(x): RSP matrix A, the run's escort phi
 
 
-@lru_cache(maxsize=None)
-def _traj(phi, landscape, x0, t_end, observe_every, with_ref):
-    """A trajectory of the escort ``phi`` (the closed families are frozen
-    dataclasses, so equal escorts share one entry) on the builtin landscape
-    named ``landscape``, or on f = A phi(x) for ``RSP_ESCORT``."""
-    ref = barycenter(len(x0)) if with_ref else None
-    if landscape == RSP_ESCORT:
-        f = FitnessLandscape.matrix_escort(rsp_matrix(), phi)
-    else:
-        f = builtin_landscape(landscape)
-    return integrate(
-        phi,
-        f,
-        np.array(x0),
-        t_end,
-        STEP,
-        observe_every=observe_every,
-        ref=ref,
-    )
+@dataclass(frozen=True)
+class Run:
+    """One trajectory a criterion needs, as data.
+
+    The escort ``phi`` (the closed families are frozen dataclasses, so equal
+    escorts make equal runs) on the builtin landscape named ``landscape``,
+    or on f = A phi(x) for ``RSP_ESCORT``, from ``x0`` to ``t_end`` at the
+    suite's STEP. ``with_ref`` adds the diagnostics against the barycenter;
+    a ``formal`` run integrates the formal solution exp_phi(v - G) instead.
+    """
+
+    phi: Escort
+    landscape: str
+    x0: tuple
+    t_end: float
+    observe_every: int
+    with_ref: bool = False
+    formal: bool = False
+
+    @property
+    def steps(self) -> int:
+        return round(self.t_end / STEP)
+
+    def integrate(self) -> Trajectory:
+        if self.landscape == RSP_ESCORT:
+            f = FitnessLandscape.matrix_escort(rsp_matrix(), self.phi)
+        else:
+            f = builtin_landscape(self.landscape)
+        x0 = np.array(self.x0)
+        if self.formal:
+            return integrate_formal_solution(
+                self.phi, f, x0, self.t_end, STEP, observe_every=self.observe_every
+            )
+        ref = barycenter(len(self.x0)) if self.with_ref else None
+        return integrate(
+            self.phi, f, x0, self.t_end, STEP, observe_every=self.observe_every, ref=ref
+        )
+
+
+_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _TrajectoryCache:
+    """The suite's trajectories by run. ``misses`` counts the runs
+    integrated, whether here or in a child process of a plan."""
+
+    def __init__(self):
+        self.cache_clear()
+
+    def cache_clear(self):
+        self.store = {}
+        self.hits = self.misses = 0
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self.hits, self.misses, None, len(self.store))
+
+    def add(self, run, trajectory):
+        self.store[run] = trajectory
+        self.misses += 1
+
+    def __call__(self, run) -> Trajectory:
+        """The trajectory of ``run``, integrated here if no plan left it."""
+        if run in self.store:
+            self.hits += 1
+        else:
+            self.add(run, run.integrate())
+        return self.store[run]
+
+
+_traj = _TrajectoryCache()
 
 
 def clear_cache():
@@ -94,37 +167,36 @@ def _rel_drift(series):
     return float(np.max(np.abs(series - series[0])) / abs(series[0]))
 
 
-def _c01_rsp_product(tol):
-    tr = _traj(Identity(), "rsp", X0_CYCLE, 100.0, 100, False)
+def _c01_rsp_product(tol, tr):
     drift = _rel_drift(np.prod(tr.states, axis=1))
     return drift, drift <= tol, "x1*x2*x3 along the replicator RSP orbit, t in [0, 100]"
 
 
-def _c02_poincare(tol):
-    tr = _traj(Power(2), RSP_ESCORT, X0_CYCLE, 100.0, 100, False)
+def _c02_poincare(tol, tr):
     drift = _rel_drift(np.sum(1.0 / tr.states, axis=1))
     return drift, drift <= tol, "1/x1 + 1/x2 + 1/x3 under the quadratic escort, t in [0, 100]"
 
 
-def _c03_general_integral(tol):
+def _c03_general_integral(tol, *trajectories):
     worst = 0.0
-    for q in (0.5, 3.0):
-        tr = _traj(Power(q), RSP_ESCORT, X0_CYCLE, 100.0, 100, True)
+    for tr in trajectories:
         worst = max(worst, _rel_drift(tr.integral_of_motion))
     return worst, worst <= tol, "sum x*_i log_phi(x_i) for q in {0.5, 3}, t in [0, 100]"
 
 
-_GRADIENT_ESCORTS = (Identity(), Power(0.5), Power(2), Constant(1.0))
+_GRADIENT_RUNS = tuple(
+    Run(phi, "neg_identity", X0_GRADIENT, 50.0, 1, with_ref=True)
+    for phi in (Identity(), Power(0.5), Power(2), Constant(1.0))
+)
 
 
-def _c04_lyapunov(tol):
+def _c04_lyapunov(tol, *trajectories):
     # parts: per-step rise <= 1e-10, final <= 1e-3 * initial; tol scales part 1
     step_bound = 1e-10 * tol
     ratio_bound = 1e-3
     worst_rise = -math.inf
     worst_ratio = -math.inf
-    for phi in _GRADIENT_ESCORTS:
-        tr = _traj(phi, "neg_identity", X0_GRADIENT, 50.0, 1, True)
+    for tr in trajectories:
         lyap = tr.lyapunov
         worst_rise = max(worst_rise, float(np.max(np.diff(lyap))))
         worst_ratio = max(worst_ratio, float(lyap[-1] / lyap[0]))
@@ -143,11 +215,11 @@ def _fd_potential_rate(phi, f, x, delta=1e-5):
     return (f.potential(ahead) - f.potential(behind)) / (2.0 * delta)
 
 
-def _c05_fisher(tol):
+def _c05_fisher(tol, *trajectories):
     f = builtin_landscape("neg_identity")
     worst = 0.0
-    for phi in _GRADIENT_ESCORTS:
-        tr = _traj(phi, "neg_identity", X0_GRADIENT, 50.0, 1, True)
+    for run, tr in zip(_GRADIENT_RUNS, trajectories):
+        phi = run.phi
         for i in range(100, 2100, 100):  # 20 samples over t in (0, 2.1]
             x = tr.states[i]
             rate = fisher_rate(phi, f, x)
@@ -178,12 +250,11 @@ def _c07_projection(tol):
     return worst, worst <= tol, "constant-escort field vs f_i - mean(f) at 100 random states"
 
 
-def _c08_exponential_rest(tol):
+def _c08_exponential_rest(tol, tr):
     # parts: stay within 1e-8 of the barycenter over [0, 10]; closed-form field to 1e-12
     stay_bound = 1e-8
     field_bound = 1e-12 * tol
     phi = Exponential()
-    tr = _traj(phi, "exp_decay", (1 / 3, 1 / 3, 1 / 3), 10.0, 100, False)
     stay = float(np.max(np.abs(tr.states - 1.0 / 3.0)))
     f = builtin_landscape("exp_decay")
     worst_field = 0.0
@@ -215,29 +286,22 @@ def _c09_gauge(tol):
     return worst, worst <= tol, "field of f vs f + g(x)*1 for g in {5, sum x^2}, 100 states"
 
 
-def _c10_time_change(tol):
-    fast = _traj(Scaled(2.0), "rsp", X0_CYCLE, 10.0, 10, False)
-    slow = _traj(Identity(), "rsp", X0_CYCLE, 20.0, 10, False)
+def _c10_time_change(tol, fast, slow):
     m = len(fast.states)
     dev = float(np.max(np.abs(fast.states - slow.states[::2][:m])))
     return dev, dev <= tol, "Scaled(2) at t vs Identity at 2t on RSP, t in [0, 10]"
 
 
-def _c11_formal_solution(tol):
+def _c11_formal_solution(tol, *trajectories):
     worst = 0.0
-    f = builtin_landscape("rsp")
-    for phi in (Identity(), Power(2)):
-        direct = _traj(phi, "rsp", X0_CYCLE, 5.0, 10, False)
-        formal = integrate_formal_solution(phi, f, np.array(X0_CYCLE), 5.0, STEP, observe_every=10)
+    for direct, formal in zip(trajectories[::2], trajectories[1::2]):
         worst = max(worst, float(np.max(np.abs(direct.states - formal.states))))
     return worst, worst <= tol, "exp_phi(v - G) reconstruction vs direct integration, t in [0, 5]"
 
 
-def _c12_q_ordering(tol):
-    ref = _traj(Identity(), "rsp", X0_CYCLE, 10.0, 10, False)
+def _c12_q_ordering(tol, ref, *trajectories):
     devs = []
-    for q in (1.1, 1.01, 1.001):
-        tr = _traj(Power(q), "rsp", X0_CYCLE, 10.0, 10, False)
+    for tr in trajectories:
         devs.append(float(np.max(np.abs(tr.states - ref.states))))
     ratios = [devs[i + 1] / devs[i] for i in range(len(devs) - 1)]
     measured = max(ratios)
@@ -334,30 +398,35 @@ CRITERIA = [
         "replicator RSP orbit conserves x1*x2*x3",
         1e-6,
         _c01_rsp_product,
+        (Run(Identity(), "rsp", X0_CYCLE, 100.0, 100),),
     ),
     Criterion(
         "poincare_inverse_sum",
         "quadratic escort conserves 1/x1 + 1/x2 + 1/x3",
         1e-5,
         _c02_poincare,
+        (Run(Power(2), RSP_ESCORT, X0_CYCLE, 100.0, 100),),
     ),
     Criterion(
         "general_integral_of_motion",
         "sum x*_i log_phi(x_i) conserved for q in {0.5, 3}",
         1e-5,
         _c03_general_integral,
+        tuple(Run(Power(q), RSP_ESCORT, X0_CYCLE, 100.0, 100, with_ref=True) for q in (0.5, 3.0)),
     ),
     Criterion(
         "lyapunov_monotonicity",
         "divergence to the barycenter decays along gradient flows",
         1.0,
         _c04_lyapunov,
+        _GRADIENT_RUNS,
     ),
     Criterion(
         "fisher_rate_gradient_flows",
         "Z_phi Var_phi[f] equals dV/dt along the flow",
         1e-6,
         _c05_fisher,
+        _GRADIENT_RUNS,
     ),
     Criterion(
         "nash_rest_points",
@@ -376,6 +445,7 @@ CRITERIA = [
         "exp escort with f = e^-x fixes the barycenter",
         1.0,
         _c08_exponential_rest,
+        (Run(Exponential(), "exp_decay", (1 / 3, 1 / 3, 1 / 3), 10.0, 100),),
     ),
     Criterion(
         "gauge_invariance",
@@ -388,18 +458,28 @@ CRITERIA = [
         "Scaled(2) trajectory is the replicator at doubled speed",
         1e-6,
         _c10_time_change,
+        (Run(Scaled(2.0), "rsp", X0_CYCLE, 10.0, 10), Run(Identity(), "rsp", X0_CYCLE, 20.0, 10)),
     ),
     Criterion(
         "formal_solution_agreement",
         "exp_phi(v - G) reconstruction matches direct integration",
         1e-5,
         _c11_formal_solution,
+        tuple(
+            Run(phi, "rsp", X0_CYCLE, 5.0, 10, formal=formal)
+            for phi in (Identity(), Power(2))
+            for formal in (False, True)
+        ),
     ),
     Criterion(
         "q_to_one_ordering",
         "deviation from the replicator shrinks as q -> 1",
         1.0,
         _c12_q_ordering,
+        tuple(
+            Run(phi, "rsp", X0_CYCLE, 10.0, 10)
+            for phi in (Identity(), Power(1.1), Power(1.01), Power(1.001))
+        ),
     ),
     Criterion(
         "roundtrips_and_cross_checks",
@@ -418,9 +498,140 @@ CRITERIA = [
 CRITERIA_BY_NAME = {c.name: c for c in CRITERIA}
 
 
+# ---------------------------------------------------------------------------
+# Run plan
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class PlanReport:
+    """What integrating a plan took: runs, RK4 steps, processes, wall seconds."""
+
+    runs: int
+    steps: int
+    processes: int
+    seconds: float
+
+    def __str__(self):
+        return (
+            f"plan: {self.runs} runs, {self.steps} RK4 steps, "
+            f"{self.processes} processes, {self.seconds:.2f} s integrating"
+        )
+
+
+def plan(criteria) -> list[Run]:
+    """The distinct runs of ``criteria``, in order of first use."""
+    return list(dict.fromkeys(run for c in criteria for run in c.runs))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shares(runs, k):
+    """Split ``runs`` into ``k`` shares: each run, most RK4 steps first, goes
+    to the share with the fewest steps so far (the first such on a tie)."""
+    shares = [[] for _ in range(k)]
+    loads = [0] * k
+    for run in sorted(runs, key=lambda r: -r.steps):
+        i = loads.index(min(loads))
+        shares[i].append(run)
+        loads[i] += run.steps
+    return shares
+
+
+def _integrate_share(share) -> dict:
+    """{index in share: trajectory} for the runs that integrate without raising.
+    A run left out is integrated again when its criterion asks for it, and
+    raises there as it would in a serial suite."""
+    done = {}
+    for i, run in enumerate(share):
+        try:
+            done[i] = run.integrate()
+        except Exception:
+            pass
+    return done
+
+
+def _fork_share(share):
+    """Start a child that integrates ``share`` and pickles the result of
+    ``_integrate_share`` back over a pipe; returns (pid, read end), or None
+    when no process can be started."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # the share's runs stay uncached
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:  # the child never returns into the caller's frames
+        code = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as out:
+                pickle.dump(_integrate_share(share), out, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _read_share(fd) -> dict:
+    """A child's result, or {} when it died or sent something unreadable."""
+    try:
+        with os.fdopen(fd, "rb", closefd=False) as fh:
+            done = pickle.load(fh)
+    except Exception:
+        return {}
+    return done if isinstance(done, dict) else {}
+
+
+def integrate_runs(runs) -> PlanReport:
+    """Integrate the ``runs`` not yet cached, across the usable CPUs.
+
+    The runs are split into k = min(usable CPUs, runs) shares by RK4 steps.
+    Shares 1..k-1 go to forked children; this process integrates share 0,
+    then reads the children's trajectories and reaps them. With k = 1, or
+    without ``os.fork``, no process is started. A run that raised, or whose
+    child could not start, died or sent unreadable data, stays uncached.
+    """
+    t0 = time.perf_counter()
+    runs = [run for run in dict.fromkeys(runs) if run not in _traj.store]
+    k = min(_usable_cpus(), len(runs)) if hasattr(os, "fork") else min(1, len(runs))
+    shares = _shares(runs, k)
+    children = []  # (pid, read end, share) of the children not yet reaped
+    try:
+        for share in shares[1:]:
+            child = _fork_share(share)
+            if child is not None:
+                children.append((*child, share))
+        results = [(shares[0], _integrate_share(shares[0]))] if shares else []
+        results += [(share, _read_share(fd)) for _, fd, share in children]
+    finally:
+        for pid, fd, _ in children:
+            os.kill(pid, signal.SIGKILL)  # a no-op for a child that has exited
+            os.waitpid(pid, 0)
+            os.close(fd)
+    for share, done in results:
+        for i, trajectory in done.items():
+            _traj.add(share[i], trajectory)
+    processes = min(k, 1) + len(children)
+    return PlanReport(len(runs), sum(r.steps for r in runs), processes, time.perf_counter() - t0)
+
+
+def select(names=None) -> list[Criterion]:
+    """The criteria called ``names``, in that order (all by default)."""
+    return CRITERIA if names is None else [CRITERIA_BY_NAME[n] for n in names]
+
+
 def run_suite(names=None, overrides=None) -> list[CriterionResult]:
     """Run the selected criteria (all by default) and return their results.
 
+    The criteria's runs are integrated first, as one plan (``integrate_runs``).
     ``overrides`` maps criterion names to replacement tolerances; it exists
     so tests can corrupt a tolerance and watch the suite fail.
     """
@@ -428,7 +639,8 @@ def run_suite(names=None, overrides=None) -> list[CriterionResult]:
     unknown = set(overrides) - set(CRITERIA_BY_NAME)
     if unknown:
         raise KeyError(f"unknown criteria in overrides: {sorted(unknown)}")
-    selected = CRITERIA if names is None else [CRITERIA_BY_NAME[n] for n in names]
+    selected = select(names)
+    integrate_runs(plan(selected))
     return [c.run(overrides.get(c.name)) for c in selected]
 
 

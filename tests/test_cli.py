@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -544,6 +545,41 @@ class TestPaperSuiteCommand:
         assert proc.returncode == 2, proc.stdout + proc.stderr
         assert "config error:" in proc.stderr, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
+
+    def test_repeated_criterion_exit_2(self, tmp_path):
+        proc = run_cli("paper-suite", "--only", "nash_rest_points,nash_rest_points", cwd=tmp_path)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "config error:" in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stdout == ""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["discrete_map_forms=1e-30"],  # a criterion --only leaves out
+            ["nash_rest_points=0", "nash_rest_points=1e-12"],  # the same criterion twice
+        ],
+    )
+    def test_override_conflict_exit_2(self, tmp_path, overrides):
+        args = [a for item in overrides for a in ("--override", item)]
+        proc = run_cli("paper-suite", "--only", "nash_rest_points", *args, cwd=tmp_path)
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert "config error:" in proc.stderr, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert proc.stdout == ""
+
+    def test_report_once_then_the_plan(self, tmp_path):
+        # these criteria plan 5 runs, which are spread over the usable CPUs
+        proc = run_cli(
+            "paper-suite", "--only", "exponential_escort_rest_point,formal_solution_agreement",
+            cwd=tmp_path,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        assert sum("criteria passed" in line for line in lines) == 1
+        assert lines[-2] == "2/2 criteria passed"
+        assert re.fullmatch(r"plan: 5 runs, 30000 RK4 steps, \d+ processes, \d+\.\d\d s integrating",
+                            lines[-1]), lines[-1]
 
     def test_main_entry_returns_int(self, tmp_path):
         code = main(["paper-suite", "--only", "discrete_map_forms"])

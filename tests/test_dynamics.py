@@ -5,6 +5,7 @@ from escortdyn import (
     ConfigError,
     Constant,
     Custom,
+    DimensionError,
     DomainError,
     Exponential,
     FitnessLandscape,
@@ -147,6 +148,18 @@ class TestIntegrate:
         )
         assert tr.lyapunov is not None and tr.integral_of_motion is not None
         assert np.all(np.isfinite(tr.lyapunov))
+
+    def test_ref_of_another_length_fails_before_the_first_step(self):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return RSP(x)
+
+        land = FitnessLandscape.custom(counted, name="counted rsp")
+        with pytest.raises(DimensionError):
+            integrate(Identity(), land, [0.5, 0.3, 0.2], t_end=5.0, step=1e-3, ref=barycenter(4))
+        assert calls == []
 
     def test_diagnostics_none_without_ref(self):
         tr = integrate(Identity(), RSP, [0.5, 0.3, 0.2], t_end=0.1, step=1e-2)

@@ -1,0 +1,174 @@
+"""The suite's run plan and its execution across processes.
+
+The runs here are short (a few hundred RK4 steps each), so each test
+integrates its plan in well under a second; ``tests/test_acceptance.py``
+runs the full plan.
+"""
+
+import os
+import pickle
+import time
+
+import numpy as np
+import pytest
+
+from escortdyn import suite
+from escortdyn.errors import DomainError
+from escortdyn.escorts import Identity, Power
+from escortdyn.suite import RSP_ESCORT, X0_CYCLE, Run
+
+RUNS = (
+    Run(Identity(), "rsp", X0_CYCLE, 0.5, 10),
+    Run(Power(2), RSP_ESCORT, X0_CYCLE, 0.4, 10, with_ref=True),
+    Run(Power(2), "rsp", X0_CYCLE, 0.3, 10, formal=True),
+    Run(Power(0.5), "neg_identity", (0.6, 0.3, 0.1), 0.2, 1, with_ref=True),
+)
+FIELDS = ("times", "states", "mean_fitness", "lyapunov", "integral_of_motion")
+
+
+@pytest.fixture(autouse=True)
+def empty_cache():
+    suite.clear_cache()
+    yield
+    suite.clear_cache()
+
+
+@pytest.fixture(scope="module")
+def serial():
+    """Each run's trajectory, integrated in this process."""
+    return {run: run.integrate() for run in RUNS}
+
+
+def assert_same(a, b):
+    for name in FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or np.array_equal(x, y), name
+    assert a.termination == b.termination
+
+
+def assert_serial(serial):
+    """Every run, cached or integrated again here, is its serial trajectory."""
+    for run in RUNS:
+        assert_same(suite._traj(run), serial[run])
+    assert suite._traj.cache_info().misses == len(RUNS)
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def in_child(parent, action):
+    """Run.integrate that does ``action`` instead in a forked child."""
+    integrate = Run.integrate
+
+    def wrapped(run):
+        if os.getpid() != parent:
+            action()
+        return integrate(run)
+
+    return wrapped
+
+
+def test_plan_drops_duplicates_in_order():
+    a, b = suite.Criterion("a", "", 1.0, None, RUNS[:2]), suite.Criterion("b", "", 1.0, None, RUNS[1:])
+    assert suite.plan([a, b]) == list(RUNS)
+
+
+def test_shares_balance_steps_and_keep_every_run():
+    shares = suite._shares(suite.plan(suite.CRITERIA), 2)
+    assert sorted(map(id, sum(shares, []))) == sorted(map(id, suite.plan(suite.CRITERIA)))
+    assert [sum(r.steps for r in share) for share in shares] == [350_000, 350_000]
+
+
+@pytest.mark.parametrize("cpus", [2, 3, 8])
+def test_forked_runs_equal_serial(monkeypatch, serial, cpus):
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: cpus)
+    report = suite.integrate_runs(RUNS)
+    assert (report.runs, report.processes) == (len(RUNS), min(cpus, len(RUNS)))
+    assert report.steps == sum(run.steps for run in RUNS)
+    assert set(suite._traj.store) == set(RUNS)
+    assert_serial(serial)
+    assert_no_child()
+
+
+def test_without_fork_no_process_is_started(monkeypatch, serial):
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    monkeypatch.delattr(os, "fork")
+    assert suite.integrate_runs(RUNS).processes == 1
+    assert_serial(serial)
+
+
+def _raise():
+    raise DomainError("only in the child")
+
+
+def _die():
+    os._exit(9)
+
+
+@pytest.mark.parametrize("action", [_raise, _die])
+def test_failed_child_runs_are_redone_here(monkeypatch, serial, action):
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(Run, "integrate", in_child(os.getpid(), action))
+    suite.integrate_runs(RUNS)
+    assert set(suite._traj.store) == set(suite._shares(RUNS, 2)[0])
+    assert_serial(serial)
+    assert_no_child()
+
+
+def test_runs_of_a_child_that_cannot_start_are_done_here(monkeypatch, serial):
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert suite.integrate_runs(RUNS).processes == 1
+    assert set(suite._traj.store) == set(suite._shares(RUNS, 2)[0])
+    assert_serial(serial)
+
+
+def test_unreadable_child_data_is_redone_here(monkeypatch, serial):
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(pickle, "dump", lambda obj, out, protocol: out.write(b"not a pickle"))
+    suite.integrate_runs(RUNS)
+    assert set(suite._traj.store) == set(suite._shares(RUNS, 2)[0])
+    assert_serial(serial)
+    assert_no_child()
+
+
+def test_a_failing_run_raises_as_it_does_serially(monkeypatch):
+    bad = Run(Identity(), "no_such_landscape", X0_CYCLE, 0.1, 10)
+    with pytest.raises(Exception) as serial_err:
+        bad.integrate()
+    criterion = suite.Criterion("probe", "", 1.0, lambda tol, tr: (0.0, True, ""), (bad,))
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    suite.integrate_runs([bad, RUNS[0]])
+    assert bad not in suite._traj.store
+    with pytest.raises(type(serial_err.value)) as err:
+        criterion.run()
+    assert str(err.value) == str(serial_err.value)
+    assert_no_child()
+
+
+class Stop(BaseException):
+    pass
+
+
+def test_no_child_outlives_a_raising_parent(monkeypatch):
+    parent = os.getpid()
+    integrate = Run.integrate
+
+    def integrate_or_stall(run):
+        if os.getpid() == parent:
+            raise Stop
+        time.sleep(60)
+        return integrate(run)
+
+    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(Run, "integrate", integrate_or_stall)
+    t0 = time.perf_counter()
+    with pytest.raises(Stop):
+        suite.integrate_runs(RUNS)
+    assert time.perf_counter() - t0 < 30
+    assert_no_child()
