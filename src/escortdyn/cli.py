@@ -244,7 +244,8 @@ def _columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
 
 
 def write_trajectory(traj: Trajectory, path: str, fmt: str) -> None:
-    """Write a trajectory as CSV or JSON with round-trippable floats."""
+    """Write a trajectory as CSV or JSON with round-trippable floats; a
+    non-finite value is ``inf``/``-inf``/``nan`` in CSV and ``null`` in JSON."""
     names, cols = _columns(traj)
     parent = os.path.dirname(path)
     if parent:
@@ -256,10 +257,10 @@ def write_trajectory(traj: Trajectory, path: str, fmt: str) -> None:
                 block = np.column_stack([c[start : start + CSV_BLOCK_ROWS] for c in cols])
                 fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
     else:
-        rows = np.column_stack(cols).tolist()
+        rows = [[_json_float(v) for v in row] for row in np.column_stack(cols).tolist()]
         doc = {"columns": names, "rows": rows, "termination": traj.termination.kind}
         with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1)
+            json.dump(doc, fh, indent=1, allow_nan=False)
             fh.write("\n")
 
 
@@ -280,8 +281,9 @@ def summarize(traj: Trajectory) -> dict:
         if np.all(np.isfinite(iom)) and iom[0] != 0.0:
             drift_integral = float(np.max(np.abs(iom - iom[0])) / abs(iom[0]))
     if traj.lyapunov is not None:
-        lyap = traj.lyapunov
-        lyap_monotone = monotone_nonincreasing(lyap[np.isfinite(lyap)])
+        finite = traj.lyapunov[np.isfinite(traj.lyapunov)]
+        if finite.size >= 2:  # fewer finite entries are no evidence either way
+            lyap_monotone = monotone_nonincreasing(finite)
     return {
         "status": traj.termination.kind,
         "t_final": float(traj.times[-1]),

@@ -158,14 +158,7 @@ def _check_controls(t_end, step, observe_every):
 
 
 class _Recorder:
-    """The samples of a run and their diagnostics.
-
-    A sample's escort mean fitness is settled by the first RK4 stage taken
-    at its state (``settle(field.mean)``). A sample that has no such stage
-    (the final one, or one where the stage raised) is evaluated afresh when
-    the next sample is recorded or the trajectory is built, so an error at
-    that state surfaces as the escort or the landscape raises it.
-    """
+    """The samples of a run, each with its escort mean fitness, and their diagnostics."""
 
     def __init__(self, phi, f, ref):
         self.phi = phi
@@ -174,28 +167,18 @@ class _Recorder:
         self.times = []
         self.states = []
         self.means = []
-        self.pending = False  # the last sample has no mean yet
 
-    def record(self, t, x):
-        if self.pending:
-            self.settle()
+    def record(self, t, x, mean=math.nan):
+        """Add the sample (t, x) with its mean fitness ``mean``. A non-finite or
+        absent ``mean`` is evaluated afresh, so that the landscape's own
+        finiteness check (which the ``f = A phi(x)`` field skips) raises here."""
+        if not math.isfinite(mean):
+            mean = escort_mean_fitness(self.phi, self.f, x)
         self.times.append(t)
         self.states.append(x.copy())
-        self.pending = True
-
-    def settle(self, mean=math.nan):
-        """Give the last sample its mean fitness: ``mean`` when it is finite,
-        else <f(x)>_phi evaluated at the sample's state."""
-        if not math.isfinite(mean):
-            # a non-finite stage mean is evaluated again, so that the
-            # landscape's own finiteness check raises as it would here
-            mean = escort_mean_fitness(self.phi, self.f, self.states[-1])
         self.means.append(float(mean))
-        self.pending = False
 
     def build(self, termination):
-        if self.pending:
-            self.settle()
         states = np.array(self.states)
         lyap = integral = None
         if self.ref is not None:
@@ -250,6 +233,12 @@ def integrate(
     leaves the escort's domain or produces a negative coordinate the
     trajectory ends with a ``boundary_exit`` termination; non-finite
     states end it with ``step_failure``.
+
+    The field is evaluated once at each accepted state: that evaluation is
+    the next step's first stage and gives the state's mean fitness, so a
+    run of ``s`` steps makes 4s + 1 evaluations. A state where the field
+    raises DomainError is not accepted: the run ends with ``boundary_exit``
+    at the last accepted state, which is recorded.
     """
     n_steps, observe_every = _check_controls(t_end, step, observe_every)
     x = as_simplex(x0).coords.copy()
@@ -258,41 +247,35 @@ def integrate(
     rec = _Recorder(phi, f, ref)
     if rec.ref is not None and rec.ref.size != x.size:  # fail before the first step, not after
         raise DimensionError(f"states must have shape (m, {rec.ref.size})")
-    rec.record(0.0, x)
+    k1 = field(x)
+    rec.record(0.0, x, field.mean)
 
-    termination = None
+    termination = Termination.completed()
     h = float(step)
-    t_x = 0.0  # time of the current valid state
-    t_recorded = 0.0
+    t_x = 0.0  # time of the last accepted state
     for k in range(n_steps):
+        t_new = (k + 1) * h
         try:
-            k1 = field(x)
-            if rec.pending:  # x is the last recorded sample
-                rec.settle(field.mean)
             x_new = _rk4_step(field, x, h, k1)
+            if not np.isfinite(x_new).all():
+                termination = Termination.step_failure(t_new)
+                break
+            bad = (x_new <= 0.0) if strict else (x_new < 0.0)
+            if bad.any():
+                termination = Termination.boundary_exit(t_new, int(bad.argmax()))
+                break
+            total = x_new.sum()
+            if abs(total - 1.0) > DRIFT_TOL:
+                x_new /= total
+            k1 = field(x_new)  # accepting x_new: the next step's first stage
         except DomainError as err:
             termination = Termination.boundary_exit(t_x, err.index)
             break
-        t_new = (k + 1) * h
-        if not np.isfinite(x_new).all():
-            termination = Termination.step_failure(t_new)
-            break
-        bad = (x_new <= 0.0) if strict else (x_new < 0.0)
-        if bad.any():
-            termination = Termination.boundary_exit(t_new, int(bad.argmax()))
-            break
-        total = x_new.sum()
-        if abs(total - 1.0) > DRIFT_TOL:
-            x_new /= total
-        x = x_new
-        t_x = t_new
+        x, t_x, mean = x_new, t_new, field.mean  # the next step's stages overwrite field.mean
         if (k + 1) % observe_every == 0:
-            rec.record(t_x, x)
-            t_recorded = t_x
-    if termination is None:
-        termination = Termination.completed()
-    if t_x > t_recorded:
-        rec.record(t_x, x)
+            rec.record(t_x, x, mean)
+    if rec.times[-1] < t_x:
+        rec.record(t_x, x, mean)
 
     return rec.build(termination)
 
@@ -360,14 +343,12 @@ def integrate_formal_solution(
     z[n] = 0.0
 
     rec = _Recorder(phi, f, None)
-    rec.record(0.0, xs.coords.copy())
+    rec.record(0.0, xs.coords)
     h = float(step)
-    recorded_last = True
     for k in range(n_steps):
         z = _rk4_step(rhs, z, h)
-        recorded_last = (k + 1) % observe_every == 0
-        if recorded_last:
+        if (k + 1) % observe_every == 0:
             rec.record((k + 1) * h, reconstruct(z))
-    if not recorded_last:
+    if rec.times[-1] < n_steps * h:
         rec.record(n_steps * h, reconstruct(z))
     return rec.build(Termination.completed())

@@ -46,12 +46,9 @@ class Escort:
     requires_positive = False  # True when phi is undefined at u = 0
     has_closed_log = True
 
-    def __call__(self, u):
-        """phi evaluated at a scalar or coordinatewise at an array."""
-        raise NotImplementedError
-
-    def weights(self, x: np.ndarray) -> np.ndarray:
-        """phi applied to a state vector, with domain checks."""
+    def weights(self, x):
+        """phi at a float or coordinatewise at an array, with domain checks:
+        DomainError (with ``index`` for an array) outside the domain of phi."""
         raise NotImplementedError
 
     # -- deformed logarithm and exponential --------------------------------
@@ -129,14 +126,16 @@ class Escort:
             last_u = u
             return last_log
 
-        return invert_increasing(log_phi, lambda u: 1.0 / self(u), w, tol=EXP_TOL)
+        return invert_increasing(log_phi, lambda u: 1.0 / self.weights(u), w, tol=EXP_TOL)
 
     def reciprocal(self, v: np.ndarray) -> np.ndarray:
-        """1/phi at an array of nodes; DomainError where phi is not positive and finite."""
-        p = self(v)
+        """1/phi at a 1-d array; DomainError (with ``index``) at the first entry
+        where phi is not positive and finite, as a closed form can overflow."""
+        p = self.weights(v)
         bad = ~((p > 0.0) & np.isfinite(p))
         if bad.any():
-            raise DomainError(f"escort not positive at u={v[bad.argmax()]!r}")
+            i = int(bad.argmax())
+            raise DomainError(f"escort not positive and finite at u={float(v[i])!r}", index=i)
         return 1.0 / p
 
     def log_range(self):
@@ -179,22 +178,22 @@ def _argument(u):
     return arr.reshape(-1), arr.ndim == 0
 
 
-def _require_nonnegative(x, name="state"):
+def _require_nonnegative(x):
+    """Raise DomainError at the most negative entry of the float array ``x``."""
     if (x < 0.0).any():
         i = int(x.argmin())
-        raise DomainError(f"{name} has negative coordinate {i} ({x[i]!r})", index=i)
+        index = None if x.ndim == 0 else i
+        raise DomainError(f"negative entry {float(x.flat[i])!r}", index=index)
 
 
 @dataclass(frozen=True)
 class Identity(Escort):
     """phi(u) = u: ordinary logarithm, Shahshahani weights, replicator flow."""
 
-    def __call__(self, u):
-        return np.asarray(u, dtype=float)
-
     def weights(self, x):
+        x = np.asarray(x, dtype=float)
         _require_nonnegative(x)
-        return np.asarray(x, dtype=float)
+        return x
 
     def _log(self, u):
         return np.log(u)
@@ -222,12 +221,10 @@ class Scaled(Escort):
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
             raise DomainError(f"Scaled escort needs beta > 0, got {self.beta!r}")
 
-    def __call__(self, u):
-        return self.beta * np.asarray(u, dtype=float)
-
     def weights(self, x):
+        x = np.asarray(x, dtype=float)
         _require_nonnegative(x)
-        return self.beta * np.asarray(x, dtype=float)
+        return self.beta * x
 
     def _log(self, u):
         return np.log(u) / self.beta
@@ -263,21 +260,12 @@ class Power(Escort):
     def _near_one(self):
         return abs(self.q - 1.0) < Q_DEGENERATE
 
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        bad = (u < 0.0) | ((u == 0.0) & (self.q <= 0.0))
-        if bad.any():
-            i = None if u.ndim == 0 else int(bad.argmax())
-            v = float(u if i is None else u[i])
-            raise DomainError(f"u**q undefined at u={v!r} for q={self.q!r}", index=i)
-        return u**self.q
-
     def weights(self, x):
         x = np.asarray(x, dtype=float)
         _require_nonnegative(x)
         if self.q <= 0.0 and (x == 0.0).any():
-            i = int(x.argmin())
-            raise DomainError(f"u**q undefined at coordinate {i} = 0 for q={self.q!r}", index=i)
+            index = None if x.ndim == 0 else int(x.argmin())  # the first zero
+            raise DomainError(f"u**q undefined at u = 0 for q={self.q!r}", index=index)
         return x**self.q
 
     def _log(self, u):
@@ -337,11 +325,8 @@ class Constant(Escort):
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise DomainError(f"Constant escort needs c > 0, got {self.c!r}")
 
-    def __call__(self, u):
-        return np.full(np.shape(u), self.c)
-
     def weights(self, x):
-        return np.full(len(x), self.c)
+        return np.full(np.shape(x), self.c)
 
     def _log(self, u):
         return (u - 1.0) / self.c
@@ -368,9 +353,6 @@ class Constant(Escort):
 @dataclass(frozen=True)
 class Exponential(Escort):
     """phi(u) = e**u: positive on the boundary, so the flow can leave the simplex."""
-
-    def __call__(self, u):
-        return np.exp(u)
 
     def weights(self, x):
         return np.exp(x)
@@ -413,28 +395,27 @@ class Custom(Escort):
     requires_positive = True
 
     def __post_init__(self):
-        for v in _POSITIVITY_GRID.tolist():
-            p = self.fn(v)
-            if not (p > 0.0 and math.isfinite(p)):
-                raise DomainError(f"custom escort not strictly positive at u={v!r} ({p!r})")
-
-    def __call__(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.array([self._eval(v) for v in u.reshape(-1).tolist()]).reshape(u.shape)
-
-    def _eval(self, u):
-        p = float(self.fn(u))
-        if not math.isfinite(p):
-            raise DomainError(f"custom escort non-finite at u={u!r}")
-        return p
+        self.weights(_POSITIVITY_GRID)
 
     def weights(self, x):
+        # the checks ride on the per-element loop: array checks would cost
+        # more than ``fn`` itself on a 15-node quadrature panel
         x = np.asarray(x, dtype=float)
-        _require_nonnegative(x)
-        w = self(x)
-        if (w <= 0.0).any():
-            i = int(np.argmin(w))
-            raise DomainError(f"custom escort not positive at coordinate {i}", index=i)
+        out = []
+        valid = True
+        for v in x.reshape(-1).tolist():
+            if v < 0.0:
+                _require_nonnegative(x)
+            p = float(self.fn(v))
+            if not 0.0 < p < math.inf:
+                valid = False
+            out.append(p)
+        w = np.array(out).reshape(x.shape)
+        if not valid:  # the smallest value, a non-finite one counting as -inf
+            i = int(np.where(np.isfinite(w), w, -math.inf).argmin())
+            u, p = float(x.flat[i]), float(w.flat[i])
+            message = f"custom escort not positive and finite at u={u!r} ({p!r})"
+            raise DomainError(message, index=None if x.ndim == 0 else i)
         return w
 
     def log_zero_limit(self):

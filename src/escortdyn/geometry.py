@@ -17,12 +17,7 @@ def escort_metric(phi: Escort, x) -> np.ndarray:
     xs = as_simplex(x)
     if not xs.interior:
         raise DomainError("escort metric needs an interior point")
-    w = phi.weights(xs.coords)
-    bad = ~((w > 0.0) & np.isfinite(w))
-    if bad.any():
-        i = int(bad.argmax())
-        raise DomainError(f"escort not positive and finite at coordinate {i}", index=i)
-    g = 1.0 / w
+    g = phi.reciprocal(xs.coords)
     g.flags.writeable = False
     return g
 

@@ -194,6 +194,37 @@ class TestRunCommand:
         assert doc["columns"][0] == "t"
         assert doc["termination"] == "completed"
 
+    def test_json_writes_non_finite_values_as_null(self, tmp_path):
+        # on a face the divergence to the barycenter is +inf and the integral -inf
+        face = {"x0": [0.5, 0.5, 0.0], "t_end": 0.01, "step": 0.001}
+        path, _ = base_config(tmp_path, **face, output={"path": "out/run.csv", "format": "csv"})
+        assert run_cli("run", "--config", str(path), cwd=tmp_path).returncode == 0
+        header, rows = read_csv(tmp_path / "out" / "run.csv")
+        path, _ = base_config(tmp_path, **face, output={"path": "out/run.json", "format": "json"})
+        proc = run_cli("run", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        text = (tmp_path / "out" / "run.json").read_text()
+        doc = json.loads(text, parse_constant=reject)
+        assert doc["columns"] == header
+        finite = np.isfinite(rows)
+        assert np.isposinf(rows).any() and np.isneginf(rows).any()
+        assert [[v is None for v in row] for row in doc["rows"]] == (~finite).tolist()
+        got = np.array([[np.nan if v is None else v for v in row] for row in doc["rows"]])
+        assert got[finite].tolist() == rows[finite].tolist()
+
+    def test_lyapunov_monotone_is_null_without_two_finite_entries(self, tmp_path):
+        path, _ = base_config(tmp_path, x0=[0.5, 0.5, 0.0], t_end=0.01, step=0.001)
+        proc = run_cli("run", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["lyapunov_monotone"] is None
+        path, _ = base_config(tmp_path)  # interior: every entry is finite
+        proc = run_cli("run", "--config", str(path), cwd=tmp_path)
+        assert json.loads(proc.stdout)["lyapunov_monotone"] is True
+
     def test_zero_landscape_constant_trajectory(self, tmp_path):
         path, _ = base_config(
             tmp_path,
@@ -459,16 +490,27 @@ class TestSweepCommand:
             refs=None,
             output={"path": "out/t.csv", "format": "csv"},
         )
+        minimal = {"PATH": "/usr/bin:/bin"}
+        if "PYTHONDONTWRITEBYTECODE" in os.environ:  # the caller's bytecode policy holds
+            minimal["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
+        cache = SRC / "escortdyn" / "__pycache__"
+
+        def bytecode_files():
+            return {p.name: p.stat().st_mtime_ns for p in cache.glob("*.pyc")}
+
+        before = bytecode_files()
         proc = subprocess.run(
             [sys.executable, "-m", "escortdyn.cli", "sweep", "--config", str(path),
              "--param", "q", "--values", "0.9,1.1"],
             cwd=tmp_path,
             capture_output=True,
             text=True,
-            env=cli_env({"PATH": "/usr/bin:/bin"}),
+            env=cli_env(minimal),
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["ok"] is True
+        if minimal.get("PYTHONDONTWRITEBYTECODE"):
+            assert bytecode_files() == before
 
 
     def test_deviation_is_from_an_identity_run(self, tmp_path):

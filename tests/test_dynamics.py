@@ -190,6 +190,41 @@ class TestIntegrate:
         with pytest.raises(DomainError):
             integrate(Power(-1.0), RSP, [0.5, 0.5, 0.0], t_end=1.0, step=0.01)
 
+    @pytest.mark.parametrize("observe_every", [1, 2, 3])
+    def test_field_failure_at_an_accepted_state_ends_the_run_there(self, observe_every):
+        # the landscape is non-finite at the t = 0.005 state only: that state is
+        # not accepted, and the run ends at t = 0.004, the last state where the
+        # field was evaluated, instead of raising
+        x0 = [0.5, 0.3, 0.2]
+        failing = integrate(Identity(), RSP, x0, t_end=0.005, step=1e-3).states[-1]
+
+        def fitness(x):
+            return np.full(3, np.inf) if np.array_equal(x, failing) else RSP(x)
+
+        land = FitnessLandscape.custom(fitness, name="rsp, non-finite at one state")
+        tr = integrate(Identity(), land, x0, t_end=0.01, step=1e-3, observe_every=observe_every)
+        assert tr.termination.kind == "boundary_exit"
+        assert tr.termination.time == pytest.approx(0.004)
+        want = integrate(Identity(), RSP, x0, t_end=0.004, step=1e-3, observe_every=observe_every)
+        assert tr.times.tolist() == want.times.tolist()
+        assert tr.times[-1] == tr.termination.time  # the last accepted state is recorded
+        assert tr.states.tolist() == want.states.tolist()
+        assert tr.mean_fitness.tolist() == want.mean_fitness.tolist()
+
+    @pytest.mark.parametrize("observe_every", [1, 7, 10])
+    def test_a_run_evaluates_the_field_4_steps_plus_1_times(self, observe_every):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return RSP(x)
+
+        land = FitnessLandscape.custom(counted, name="counted rsp")
+        tr = integrate(Identity(), land, [0.5, 0.3, 0.2], t_end=0.1, step=1e-2,
+                       observe_every=observe_every)
+        assert tr.termination.ok
+        assert len(calls) == 4 * 10 + 1
+
     def test_horizon_divisible_by_small_step_accepted(self):
         tr = integrate(Identity(), RSP, [0.5, 0.3, 0.2], t_end=0.1, step=1e-3, observe_every=100)
         assert tr.termination.ok
@@ -326,6 +361,37 @@ class TestFormalSolution:
         with pytest.raises(RangeError) as err:
             integrate_formal_solution(Constant(1.0), push, [0.1, 0.4, 0.5], t_end=5.0, step=1e-3)
         assert err.value.index == 0  # the drained coordinate leaves the range of exp_phi
+
+
+class TestRK4Order:
+    """Global error against an independent high-order solution: halving the
+    step of classical RK4 divides the error by about 2^4 = 16."""
+
+    @pytest.mark.parametrize(
+        "phi",
+        [Identity(), Scaled(2.0), Power(0.5), Power(2.0), Power(3.0), Constant(1.0), Exponential()],
+    )
+    def test_halving_the_step_cuts_the_error_16_fold(self, phi):
+        integrate_ivp = pytest.importorskip("scipy.integrate")
+        from escortdyn.suite import X0_CYCLE
+
+        A = rsp_matrix()
+
+        def rhs(t, x):
+            w = phi.weights(x)
+            fx = A @ x
+            return w * (fx - w @ fx / w.sum())
+
+        times = np.linspace(0.0, 2.0, 21)
+        ref = integrate_ivp.solve_ivp(
+            rhs, (0.0, 2.0), X0_CYCLE, method="DOP853", t_eval=times, rtol=1e-13, atol=1e-15
+        ).y.T
+        errors = []
+        for h, every in ((0.1, 1), (0.05, 2)):  # samples on the same 21 times
+            tr = integrate(phi, RSP, X0_CYCLE, t_end=2.0, step=h, observe_every=every)
+            np.testing.assert_allclose(tr.times, times, rtol=0.0, atol=1e-12)
+            errors.append(np.max(np.abs(tr.states - ref)))
+        assert 14.0 <= errors[0] / errors[1] <= 18.0
 
 
 class TestLandscapes:

@@ -391,6 +391,62 @@ class TestArrayArguments:
         np.testing.assert_allclose(got, np.exp(ws) / (2.0 - np.exp(ws)), rtol=1e-9)
 
 
+class TestWeights:
+    """``weights`` is the one evaluation of phi: at a float or an array, with
+    each family's domain check and the ``index`` of the entry that fails it."""
+
+    @pytest.mark.parametrize(
+        "phi", [Identity(), Scaled(2.0), Power(2.0), Power(0.5), Power(-1.5), custom_quadratic()]
+    )
+    def test_negative_entry_reports_the_most_negative(self, phi):
+        with pytest.raises(DomainError) as err:
+            phi.weights(np.array([0.5, -0.1, 0.3, -0.2]))
+        assert err.value.index == 3
+        with pytest.raises(DomainError) as err:
+            phi.weights(-0.1)
+        assert err.value.index is None
+
+    @pytest.mark.parametrize("phi", [Power(0.0), Power(-1.5)])
+    def test_nonpositive_q_rejects_the_first_zero(self, phi):
+        with pytest.raises(DomainError) as err:
+            phi.weights(np.array([0.5, 0.0, 0.5, 0.0]))
+        assert err.value.index == 1
+        with pytest.raises(DomainError) as err:
+            phi.weights(0.0)
+        assert err.value.index is None
+
+    @pytest.mark.parametrize("phi", [Constant(2.0), Exponential()])
+    def test_constant_and_exponential_take_negative_entries(self, phi):
+        x = np.array([0.5, -0.1, -3.0])
+        want = [2.0] * 3 if isinstance(phi, Constant) else np.exp(x).tolist()
+        assert phi.weights(x).tolist() == want
+        assert phi.weights(-3.0) == want[-1]
+
+    def test_custom_reports_the_smallest_value(self):
+        # positive and finite on the construction grid (0, 1) only
+        phi = Custom(lambda v: 1.0 if v < 1.0 else 2.0 - v, name="falls past 2")
+        with pytest.raises(DomainError) as err:
+            phi.weights(np.array([0.5, 2.5, 3.0, 1.5]))
+        assert err.value.index == 2
+        with pytest.raises(DomainError) as err:
+            phi.weights(3.0)
+        assert err.value.index is None
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_custom_reports_a_non_finite_value(self, bad):
+        phi = Custom(lambda v: bad if v > 1.0 else v, name="non-finite past 1")
+        with pytest.raises(DomainError) as err:
+            phi.weights(np.array([0.5, 0.25, 2.0, 0.75]))
+        assert err.value.index == 2
+
+    @pytest.mark.parametrize("phi", SCALAR_FAMILIES + [custom_quadratic()])
+    def test_float_equals_array_entry(self, phi):
+        xs = np.array([1e-3, 0.25, 0.5, 1.0, 2.0])
+        got = phi.weights(xs)
+        assert got.shape == xs.shape
+        assert [float(phi.weights(float(u))) for u in xs] == got.tolist()
+
+
 class TestConstruction:
     def test_scaled_requires_positive_beta(self):
         with pytest.raises(DomainError):
@@ -409,7 +465,7 @@ class TestConstruction:
     @pytest.mark.parametrize("phi", SCALAR_FAMILIES)
     def test_positive_on_unit_interval(self, phi):
         for u in np.linspace(1e-3, 1 - 1e-3, 1000):
-            assert phi(float(u)) > 0.0
+            assert phi.weights(float(u)) > 0.0
 
 
 class TestSimplexPoint:

@@ -44,8 +44,9 @@ class TestEscortMetric:
 
     def test_positive_definite_enforced(self):
         # x**-2 overflows at x = 1e-200: the metric entry 1/phi would be 0
-        with np.errstate(over="ignore"), pytest.raises(DomainError):
+        with np.errstate(over="ignore"), pytest.raises(DomainError) as err:
             escort_metric(Power(-2.0), SimplexPoint([1e-200, 1.0 - 1e-200]))
+        assert err.value.index == 0
 
 
 class TestEscortDivergence:
