@@ -100,18 +100,33 @@ def _make_field(phi: Escort, f: FitnessLandscape):
         def field(x):
             w = phi.weights(x)
             fx = A @ w
-            m = field.mean = (w @ fx) / w.sum()
+            m = field.mean = (w @ fx) / np.add.reduce(w)
             return w * (fx - m)
 
         return field
 
     def field(x):
         w = phi.weights(x)
-        fx = f(x)
-        m = field.mean = (w @ fx) / w.sum()
+        fx = f.evaluate(x)
+        m = field.mean = _escort_mean(f, w, fx)
         return w * (fx - m)
 
     return field
+
+
+def _escort_mean(f: FitnessLandscape, w, fx):
+    """<f(x)>_phi from the weights ``w`` and the unchecked fitness ``fx = f.evaluate(x)``.
+
+    A non-finite entry of ``fx`` always makes the mean non-finite (at a zero
+    weight it gives NaN), so ``fx`` is checked entry by entry only then,
+    raising the landscape's own DomainError. Fitness that mixes +inf and -inf,
+    or is +inf at a zero weight, makes ``w @ fx`` warn "invalid value
+    encountered in matmul" before that error.
+    """
+    m = (w @ fx) / np.add.reduce(w)
+    if not math.isfinite(m):
+        f.check_finite(fx)
+    return m
 
 
 def vector_field(phi: Escort, f: FitnessLandscape, x) -> np.ndarray:
@@ -151,6 +166,8 @@ def _check_controls(t_end, step, observe_every):
         raise ConfigError(f"step must be positive, got {step!r}")
     if not (t_end > 0.0 and math.isfinite(t_end)) or t_end < step:
         raise ConfigError(f"horizon must satisfy t_end >= step > 0, got t_end={t_end!r}")
+    if not math.isfinite(t_end / step):
+        raise ConfigError(f"horizon t_end={t_end!r} is too many steps of {step!r}")
     n_steps = round(t_end / step)
     if abs(n_steps * step - t_end) > HORIZON_TOL * t_end:
         raise ConfigError(f"step {step!r} does not divide the horizon t_end={t_end!r}")
@@ -168,10 +185,10 @@ class _Recorder:
         self.states = []
         self.means = []
 
-    def record(self, t, x, mean=math.nan):
-        """Add the sample (t, x) with its mean fitness ``mean``. A non-finite or
-        absent ``mean`` is evaluated afresh, so that the landscape's own
-        finiteness check (which the ``f = A phi(x)`` field skips) raises here."""
+    def record(self, t, x, mean):
+        """Add the sample (t, x) with its mean fitness ``mean``. A non-finite
+        ``mean`` is evaluated afresh, so that the landscape's own finiteness
+        check (which the ``f = A phi(x)`` field skips) raises here."""
         if not math.isfinite(mean):
             mean = escort_mean_fitness(self.phi, self.f, x)
         self.times.append(t)
@@ -257,14 +274,20 @@ def integrate(
         t_new = (k + 1) * h
         try:
             x_new = _rk4_step(field, x, h, k1)
-            if not np.isfinite(x_new).all():
-                termination = Termination.step_failure(t_new)
-                break
-            bad = (x_new <= 0.0) if strict else (x_new < 0.0)
-            if bad.any():
-                termination = Termination.boundary_exit(t_new, int(bad.argmax()))
-                break
-            total = x_new.sum()
+            # one scalar test for the sign and one for finiteness; the
+            # elementwise pass runs only when one fails, to tell which and where
+            lo = np.fmin.reduce(x_new)  # skips NaN, which then makes the sum NaN
+            outside = lo <= 0.0 if strict else lo < 0.0
+            # summed only without -inf entries, so the sum cannot warn on inf - inf
+            total = math.nan if outside else np.add.reduce(x_new)
+            if not math.isfinite(total):
+                if not np.isfinite(x_new).all():
+                    termination = Termination.step_failure(t_new)
+                    break
+                if outside:
+                    bad = (x_new <= 0.0) if strict else (x_new < 0.0)
+                    termination = Termination.boundary_exit(t_new, int(bad.argmax()))
+                    break
             if abs(total - 1.0) > DRIFT_TOL:
                 x_new /= total
             k1 = field(x_new)  # accepting x_new: the next step's first stage
@@ -318,6 +341,11 @@ def integrate_formal_solution(
     The state is reconstructed as x_i = exp_phi(v_i - G) with
     v_i(0) = log_phi(x0_i) and G(0) = 0. Raises RangeError when v_i - G
     leaves the attainable range of exp_phi.
+
+    As in ``integrate``, the right-hand side is evaluated once at each
+    accepted state: that evaluation is the next step's first stage and gives
+    the sample, the reconstructed state and its mean fitness, which are
+    recorded as they are (their sum drifts from 1 by the integration error).
     """
     n_steps, observe_every = _check_controls(t_end, step, observe_every)
     xs = as_simplex(x0)
@@ -325,14 +353,11 @@ def integrate_formal_solution(
         raise DomainError("the formal solution needs an interior initial state")
     n = xs.n
 
-    def reconstruct(z):
-        return phi.exp(z[:n] - z[n])
-
     def rhs(z):
-        x = reconstruct(z)
+        x = rhs.x = phi.exp(z[:n] - z[n])
         w = phi.weights(x)
-        fx = f(x)
-        m = w @ fx / w.sum()
+        fx = f.evaluate(x)
+        m = rhs.mean = _escort_mean(f, w, fx)
         out = np.empty(n + 1)
         out[:n] = fx
         out[n] = m
@@ -343,12 +368,14 @@ def integrate_formal_solution(
     z[n] = 0.0
 
     rec = _Recorder(phi, f, None)
-    rec.record(0.0, xs.coords)
+    k1 = rhs(z)
+    rec.record(0.0, rhs.x, rhs.mean)
     h = float(step)
     for k in range(n_steps):
-        z = _rk4_step(rhs, z, h)
+        z = _rk4_step(rhs, z, h, k1)
+        k1 = rhs(z)  # the next step's first stage and this state's sample
         if (k + 1) % observe_every == 0:
-            rec.record((k + 1) * h, reconstruct(z))
+            rec.record((k + 1) * h, rhs.x, rhs.mean)
     if rec.times[-1] < n_steps * h:
-        rec.record(n_steps * h, reconstruct(z))
+        rec.record(n_steps * h, rhs.x, rhs.mean)
     return rec.build(Termination.completed())

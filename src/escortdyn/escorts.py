@@ -57,9 +57,8 @@ class Escort:
         """log_phi(u) for u > 0, at a float or a 1-d array; ``method="quadrature"``
         forces the integral. DomainError (with ``index`` for an array) otherwise."""
         u, scalar = _argument(u)
-        ok = np.isfinite(u) & (u > 0.0)
-        if not ok.all():
-            i = int(ok.argmin())
+        if not _inside(u, 0.0, math.inf):
+            i = int((np.isfinite(u) & (u > 0.0)).argmin())
             index = None if scalar else i
             raise DomainError(f"log_phi needs u > 0, got {float(u[i])!r}", index=index)
         if method == "quadrature" or (method == "auto" and not self.has_closed_log):
@@ -75,9 +74,8 @@ class Escort:
         ``index`` for an array) outside the attainable range."""
         w, scalar = _argument(w)
         lo, hi = self.log_range()
-        ok = (lo < w) & (w < hi)
-        if not ok.all():
-            i = int(ok.argmin())
+        if not _inside(w, lo, hi):
+            i = int(((lo < w) & (w < hi)).argmin())
             index = None if scalar else i
             message = f"w={float(w[i])!r} outside attainable log range ({lo!r}, {hi!r})"
             raise RangeError(message, index=index)
@@ -132,9 +130,8 @@ class Escort:
         """1/phi at a 1-d array; DomainError (with ``index``) at the first entry
         where phi is not positive and finite, as a closed form can overflow."""
         p = self.weights(v)
-        bad = ~((p > 0.0) & np.isfinite(p))
-        if bad.any():
-            i = int(bad.argmax())
+        if not _inside(p, 0.0, math.inf):
+            i = int(((p > 0.0) & np.isfinite(p)).argmin())
             raise DomainError(f"escort not positive and finite at u={float(v[i])!r}", index=i)
         return 1.0 / p
 
@@ -178,9 +175,18 @@ def _argument(u):
     return arr.reshape(-1), arr.ndim == 0
 
 
+def _inside(u, lo, hi):
+    """Whether every entry of the float array ``u`` lies in (lo, hi), as one
+    scalar test: NaN propagates through ``minimum`` and ``maximum``, so it
+    fails. Callers find the offending entry elementwise only when it fails."""
+    return not u.size or (lo < np.minimum.reduce(u, axis=None) and np.maximum.reduce(u, axis=None) < hi)
+
+
 def _require_nonnegative(x):
-    """Raise DomainError at the most negative entry of the float array ``x``."""
-    if (x < 0.0).any():
+    """Raise DomainError at the most negative entry of the float array ``x``.
+
+    One scalar test: ``fmin`` skips NaN, as ``x < 0`` does."""
+    if x.size and np.fmin.reduce(x, axis=None) < 0.0:
         i = int(x.argmin())
         index = None if x.ndim == 0 else i
         raise DomainError(f"negative entry {float(x.flat[i])!r}", index=index)
@@ -263,7 +269,7 @@ class Power(Escort):
     def weights(self, x):
         x = np.asarray(x, dtype=float)
         _require_nonnegative(x)
-        if self.q <= 0.0 and (x == 0.0).any():
+        if self.q <= 0.0 and x.size and np.fmin.reduce(x, axis=None) == 0.0:
             index = None if x.ndim == 0 else int(x.argmin())  # the first zero
             raise DomainError(f"u**q undefined at u = 0 for q={self.q!r}", index=index)
         return x**self.q

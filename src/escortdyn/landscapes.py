@@ -54,6 +54,10 @@ class FitnessLandscape:
         return cls("custom", fn=fn, potential=potential, name=name)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.check_finite(self.evaluate(x))
+
+    def evaluate(self, x: np.ndarray) -> np.ndarray:
+        """f(x) without the finiteness check; DimensionError when its shape is not x's."""
         x = np.asarray(x, dtype=float)
         if self.kind == "matrix":
             out = self.matrix @ x
@@ -65,9 +69,14 @@ class FitnessLandscape:
             out = np.asarray(self.fn(x), dtype=float)
         if out.shape != x.shape:
             raise DimensionError(f"landscape returned shape {out.shape} for state shape {x.shape}")
-        if not np.isfinite(out).all():
-            raise DomainError("landscape returned non-finite fitness")
         return out
+
+    @staticmethod
+    def check_finite(fx: np.ndarray) -> np.ndarray:
+        """``fx``, or DomainError when an entry of it is not finite."""
+        if not np.isfinite(fx).all():
+            raise DomainError("landscape returned non-finite fitness")
+        return fx
 
     def validate_potential(self, n: int, tol: float = 1e-5, points: int = 100, seed: int = 0) -> float:
         """Check grad V = f by central differences at random interior points.

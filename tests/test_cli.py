@@ -115,6 +115,7 @@ class TestRunConfig:
             {"output": {"format": "csv"}},
             {"output": {"path": "x.csv", "format": "xml"}},
             {"t_end": 1.0, "step": 0.3},
+            {"t_end": 1e308, "step": 0.001},
             *BAD_MATRICES,
             *COERCED_VALUES,
         ],
@@ -310,6 +311,14 @@ class TestRunCommand:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
         assert "config error" in proc.stderr and "divide" in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_horizon_exit_2(self, tmp_path):
+        path, _ = base_config(tmp_path, t_end=1e308, step=0.001)
+        proc = run_cli("run", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "config error" in proc.stderr and "too many steps" in proc.stderr
         assert not (tmp_path / "out").exists()
 
     def test_csv_of_several_writer_blocks_is_bit_exact(self, tmp_path):

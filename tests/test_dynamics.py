@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from escortdyn import (
     Power,
     Scaled,
     SimplexPoint,
+    Termination,
     barycenter,
     builtin_landscape,
     discrete_step,
@@ -180,6 +183,7 @@ class TestIntegrate:
             {"t_end": 1.0, "step": 0.01, "observe_every": 0},
             {"t_end": 1.0, "step": 0.01, "observe_every": 1.5},
             {"t_end": 1.0, "step": 0.3},
+            {"t_end": 1e308, "step": 0.001},  # t_end / step overflows to inf
         ],
     )
     def test_config_errors(self, kwargs):
@@ -210,6 +214,47 @@ class TestIntegrate:
         assert tr.times[-1] == tr.termination.time  # the last accepted state is recorded
         assert tr.states.tolist() == want.states.tolist()
         assert tr.mean_fitness.tolist() == want.mean_fitness.tolist()
+
+    @pytest.mark.parametrize(
+        "phi, push, step, time, rows, last",
+        [
+            (Identity(), 4.0, 0.2, 0.6000000000000001, 4,
+             [0.027646671926453266, 0.6897923167270841, 0.2825610113464626]),
+            (Power(0.5), 2.0, 0.1, 0.5, 6,
+             [0.01605713841923226, 0.5933908689605832, 0.39055199262018464]),
+        ],
+    )
+    def test_negative_entry_at_a_stage_state_ends_the_run(self, phi, push, step, time, rows, last):
+        # every accepted state is nonnegative, but a k2-k4 stage state is not:
+        # weights raises there and the run ends at the last accepted state
+        land = FitnessLandscape.custom(lambda x: np.array([-push, push, 0.0]), name="push")
+        x0 = [0.45, 0.1, 0.45]
+        tr = integrate(phi, land, x0, t_end=4.0, step=step)
+        assert tr.termination == Termination("boundary_exit", time=time, index=0)
+        assert len(tr) == rows and tr.times[-1] == time
+        assert tr.states[-1].tolist() == last
+        want = integrate(phi, land, x0, t_end=time, step=step)
+        assert want.termination.ok
+        assert tr.states.tolist() == want.states.tolist()
+        assert tr.mean_fitness.tolist() == want.mean_fitness.tolist()
+
+    def test_non_finite_landscape_at_a_stage_state_ends_the_run(self):
+        # DRAIN's accepted states stay nonnegative up to t = 0.025; a stage of
+        # the next step is negative, where this landscape is +inf
+        def fitness(x):
+            return np.full(3, np.inf) if (x < 0.0).any() else DRAIN(x)
+
+        land = FitnessLandscape.custom(fitness, name="DRAIN, +inf outside the simplex")
+        x0 = [0.05, 0.45, 0.5]
+        tr = integrate(Exponential(), land, x0, t_end=10.0, step=1e-3, observe_every=3)
+        assert tr.termination == Termination("boundary_exit", time=0.025, index=None)
+        assert len(tr) == 10 and tr.times[-1] == 0.025
+        assert tr.states[-1].tolist() == [0.0001314666633925334, 0.5682349998836617, 0.43163353345294586]
+        drained = integrate(Exponential(), DRAIN, x0, t_end=10.0, step=1e-3, observe_every=3)
+        assert drained.termination == Termination("boundary_exit", time=0.026000000000000002, index=0)
+        assert tr.times.tolist() == drained.times.tolist()
+        assert tr.states.tolist() == drained.states.tolist()
+        assert tr.mean_fitness.tolist() == drained.mean_fitness.tolist()
 
     @pytest.mark.parametrize("observe_every", [1, 7, 10])
     def test_a_run_evaluates_the_field_4_steps_plus_1_times(self, observe_every):
@@ -285,6 +330,119 @@ class TestRecordedDiagnostics:
         np.testing.assert_allclose(tr.integral_of_motion, want, rtol=1e-15, atol=0.0)
 
 
+def reference_rk4(phi, f, x0, t_end, step):
+    """Classical RK4 on the escort flow from the checked public calls
+    (``phi.weights``, ``f(x)``, ``.sum()``), renormalized as ``integrate`` does;
+    the states and mean fitness at every step."""
+
+    def stage(x):
+        w = phi.weights(x)
+        fx = f(x)
+        m = (w @ fx) / w.sum()
+        return w * (fx - m), m
+
+    x = np.array(x0, dtype=float)
+    k1, m = stage(x)
+    states, means = [x.copy()], [m]
+    h = step
+    for _ in range(round(t_end / step)):
+        k2, _ = stage(x + 0.5 * h * k1)
+        k3, _ = stage(x + 0.5 * h * k2)
+        k4, _ = stage(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        total = x.sum()
+        if abs(total - 1.0) > 1e-13:
+            x /= total
+        k1, m = stage(x)
+        states.append(x.copy())
+        means.append(m)
+    return np.array(states), np.array(means)
+
+
+def _antisymmetric(n, seed):
+    a = np.random.default_rng(seed).standard_normal((n, n))
+    return a - a.T
+
+
+class TestReferenceRK4:
+    """``integrate`` tests its domain once per stage with scalar reductions;
+    a reference RK4 built from the checked public calls gives the same bits."""
+
+    @pytest.mark.parametrize(
+        "phi, f, x0",
+        [
+            (Identity(), RSP, [0.5, 0.3, 0.2]),
+            (Power(2.0), FitnessLandscape.matrix_escort(rsp_matrix(), Power(2.0)), [0.5, 0.3, 0.2]),
+            (Exponential(), builtin_landscape("exp_decay"), [0.5, 0.3, 0.2]),
+            (Scaled(2.0), RSP, [0.6, 0.3, 0.1]),
+            (Power(1.9), FitnessLandscape.matrix_escort(_antisymmetric(30, 3), Power(1.9)),
+             simplex_samples(30, 1, seed=3)[0].coords),
+        ],
+        ids=["identity-rsp", "power2-escort-form", "exponential-exp_decay", "scaled2-linear",
+             "n30-power1.9-escort-form"],
+    )
+    def test_integrate_equals_the_reference_bit_for_bit(self, phi, f, x0):
+        tr = integrate(phi, f, x0, t_end=1.0, step=1e-2)
+        assert tr.termination.ok
+        states, means = reference_rk4(phi, f, x0, t_end=1.0, step=1e-2)
+        assert tr.times.tolist() == [k * 1e-2 for k in range(101)]
+        assert tr.states.tolist() == states.tolist()
+        assert tr.mean_fitness.tolist() == means.tolist()
+
+
+def _failing_at_one_state(values):
+    """RSP, except ``values`` at the state that Identity reaches at t = 0.005
+    from (0.5, 0.3, 0.2) with step 1e-3."""
+    failing = integrate(Identity(), RSP, [0.5, 0.3, 0.2], t_end=0.005, step=1e-3).states[-1]
+    values = np.array(values)
+    return FitnessLandscape.custom(
+        lambda x: values if np.array_equal(x, failing) else RSP(x), name="rsp, failing at one state"
+    )
+
+
+class TestFailurePathWarnings:
+    """The scalar tests send failures to the elementwise pass, which must not
+    warn; only fitness that mixes +inf and -inf (or is +inf at a zero weight)
+    warns, in ``w @ fx``, before the landscape's DomainError."""
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_landscape(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            land = FitnessLandscape.custom(lambda x: np.full(len(x), value), name="non-finite")
+            with pytest.raises(DomainError, match="non-finite fitness"):
+                integrate(Identity(), land, [0.5, 0.3, 0.2], t_end=1.0, step=1e-2)
+            tr = integrate(Identity(), _failing_at_one_state([value] * 3), [0.5, 0.3, 0.2],
+                           t_end=0.01, step=1e-3)
+        assert tr.termination == Termination("boundary_exit", time=0.004, index=None)
+
+    def test_constant_drain(self):
+        push = FitnessLandscape.custom(lambda x: np.array([-1.0, 1.0, 0.0]), name="push")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = integrate(Constant(1.0), push, [0.1, 0.4, 0.5], t_end=10.0, step=1e-3)
+        assert tr.termination.kind == "boundary_exit" and tr.termination.index == 0
+
+    def test_exponential_drain(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = integrate(Exponential(), DRAIN, [0.05, 0.45, 0.5], t_end=10.0, step=1e-3)
+        assert tr.termination == Termination("boundary_exit", time=0.026000000000000002, index=0)
+
+    def test_power_minus_one_at_a_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as err:
+                integrate(Power(-1.0), RSP, [0.5, 0.5, 0.0], t_end=1.0, step=0.01)
+        assert err.value.index == 2
+
+    def test_mixed_infinite_fitness_warns_then_ends_the_run(self):
+        land = _failing_at_one_state([np.inf, -np.inf, 0.0])
+        with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
+            tr = integrate(Identity(), land, [0.5, 0.3, 0.2], t_end=0.01, step=1e-3)
+        assert tr.termination == Termination("boundary_exit", time=0.004, index=None)
+
+
 class TestScaledTimeChange:
     def test_beta_two_doubles_speed(self):
         fast = integrate(Scaled(2.0), RSP, [0.5, 0.3, 0.2], t_end=2.0, step=1e-3, observe_every=10)
@@ -353,6 +511,35 @@ class TestFormalSolution:
     def test_needs_interior_start(self):
         with pytest.raises(DomainError):
             integrate_formal_solution(Identity(), RSP, [1.0, 0.0], t_end=1.0, step=0.01)
+
+    @pytest.mark.parametrize("phi, step", [(Identity(), 0.1), (Power(0.5), 0.05)])
+    def test_reconstructed_states_are_recorded_despite_their_drift(self, phi, step):
+        # the sum of exp_phi(v - G) drifts from 1 by about 1e-9 here, more than
+        # a SimplexPoint allows; the run must record it, not reject it
+        tr = integrate_formal_solution(phi, RSP, [0.5, 0.3, 0.2], t_end=50.0, step=step,
+                                       observe_every=10)
+        assert tr.termination.ok
+        assert len(tr) == round(50.0 / step) // 10 + 1
+        assert np.max(np.abs(tr.states.sum(axis=1) - 1.0)) > 1e-9
+        for x, m in zip(tr.states, tr.mean_fitness):
+            w = phi.weights(x)
+            assert m == w @ RSP(x) / w.sum()
+
+    @pytest.mark.parametrize("observe_every", [1, 3])
+    def test_evaluates_the_landscape_4_steps_plus_1_times(self, observe_every):
+        calls = []
+
+        def counted(x):
+            calls.append(1)
+            return RSP(x)
+
+        land = FitnessLandscape.custom(counted, name="counted rsp")
+        tr = integrate_formal_solution(Power(2.0), land, [0.5, 0.3, 0.2], t_end=0.1, step=1e-2,
+                                       observe_every=observe_every)
+        assert len(calls) == 4 * 10 + 1
+        for x, m in zip(tr.states, tr.mean_fitness):
+            w = Power(2.0).weights(x)
+            assert m == w @ RSP(x) / w.sum()
 
     def test_range_error_when_flow_crosses_boundary(self):
         from escortdyn import RangeError

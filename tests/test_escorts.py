@@ -383,6 +383,13 @@ class TestArrayArguments:
             phi.exp(np.array([0.0, 0.1, -0.1, w]))
         assert err.value.index == 3
 
+    @pytest.mark.parametrize("method", ["weights", "log", "exp", "reciprocal"])
+    @pytest.mark.parametrize("phi", SCALAR_FAMILIES + [Power(1 + 1e-12), Power(0.0), Power(-1.5)])
+    def test_empty_array_gives_an_empty_array(self, phi, method):
+        # the checks reduce to a scalar, and numpy's min/max reductions have no empty identity
+        got = getattr(phi, method)(np.array([]))
+        assert isinstance(got, np.ndarray) and got.shape == (0,)
+
     def test_custom_exp_of_array(self):
         phi = custom_quadratic()
         ws = np.array([-1.5, -0.2, 0.0, 0.3, 0.6])
