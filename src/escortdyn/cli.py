@@ -28,7 +28,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -47,20 +47,20 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_MIDRUN = 4
 
-# escort family -> (class, its parameters with their defaults; None marks a required one)
+# escort family -> class; a family's parameters and their defaults are the class's fields
 ESCORTS = {
-    "identity": (Identity, {}),
-    "scaled": (Scaled, {"beta": None}),
-    "power": (Power, {"q": None}),
-    "constant": (Constant, {"c": 1.0}),
-    "exponential": (Exponential, {}),
+    "identity": Identity,
+    "scaled": Scaled,
+    "power": Power,
+    "constant": Constant,
+    "exponential": Exponential,
 }
 CSV_BLOCK_ROWS = 512  # rows formatted per write: bounds the memory of a long trajectory
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run configuration (JSON round-trippable)."""
+    """A validated run configuration."""
 
     escort: dict
     landscape: dict
@@ -123,23 +123,8 @@ class RunConfig:
         config.build_landscape()
         return config
 
-    def to_dict(self) -> dict:
-        return {
-            "escort": dict(self.escort),
-            "landscape": {
-                k: ([list(row) for row in v] if k == "matrix" else v)
-                for k, v in self.landscape.items()
-            },
-            "x0": list(self.x0),
-            "t_end": self.t_end,
-            "step": self.step,
-            "observe_every": self.observe_every,
-            "refs": None if self.refs is None else list(self.refs),
-            "output": {"path": self.output_path, "format": self.output_format},
-        }
-
     def build_escort(self) -> Escort:
-        cls, _ = ESCORTS[self.escort["family"]]
+        cls = ESCORTS[self.escort["family"]]
         return cls(**{k: v for k, v in self.escort.items() if k != "family"})
 
     def build_landscape(self) -> FitnessLandscape:
@@ -187,10 +172,10 @@ def _escort_spec(raw) -> dict:
     if fam not in ESCORTS:
         raise ConfigError(f"unknown escort family {fam!r} (have {tuple(ESCORTS)})")
     out = {"family": fam}
-    for name, default in ESCORTS[fam][1].items():
-        if name not in raw and default is None:
-            raise ConfigError(f"{fam} escort needs {name!r}")
-        out[name] = _number(raw.get(name, default), name)
+    for field in fields(ESCORTS[fam]):
+        if field.name not in raw and field.default is MISSING:
+            raise ConfigError(f"{fam} escort needs {field.name!r}")
+        out[field.name] = _number(raw.get(field.name, field.default), field.name)
     extra = set(raw) - set(out)
     if extra:
         raise ConfigError(f"unexpected escort keys: {sorted(extra)}")
@@ -299,21 +284,25 @@ def summarize(traj: Trajectory) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str) -> RunConfig:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}")
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}")
-    return RunConfig.from_dict(raw)
 
 
-def _integrate(config: RunConfig, ref) -> Optional[Trajectory]:
+def _load_config(path: str) -> RunConfig:
+    return RunConfig.from_dict(_read_json(path))
+
+
+def _integrate(config: RunConfig) -> Optional[Trajectory]:
     """The config's trajectory; None when the dynamic is undefined at the initial state."""
     phi = config.build_escort()
     f = config.build_landscape()
+    ref = None if config.refs is None else np.array(config.refs)
     try:
         return integrate(
             phi, f, np.array(config.x0), config.t_end, config.step,
@@ -324,7 +313,7 @@ def _integrate(config: RunConfig, ref) -> Optional[Trajectory]:
 
 
 def _execute(config: RunConfig) -> tuple[int, Optional[Trajectory]]:
-    traj = _integrate(config, None if config.refs is None else np.array(config.refs))
+    traj = _integrate(config)
     if traj is None:
         return EXIT_DOMAIN, None
     try:
@@ -353,23 +342,23 @@ def cmd_run(args) -> int:
     return code
 
 
-def _sweep_value(config: RunConfig, param: str, value: float) -> RunConfig:
-    """The validated config of one sweep value."""
-    raw = config.to_dict()
-    raw["escort"][param] = value
+def _sweep_value(raw: dict, config: RunConfig, param: str, value: float) -> RunConfig:
+    """The validated config of one sweep value: the JSON ``raw`` of ``config``
+    with ``value`` in its escort and the value's output path."""
     root, ext = os.path.splitext(config.output_path)
     label = f"{value:g}"
     if float(label) != value:  # keep the short name only when it names this value alone
         label = repr(value)
-    raw["output"]["path"] = f"{root}_{param}{label}{ext or '.csv'}"
-    return RunConfig.from_dict(raw)
+    output = {"path": f"{root}_{param}{label}{ext or '.csv'}", "format": config.output_format}
+    return RunConfig.from_dict({**raw, "escort": {**raw["escort"], param: value}, "output": output})
 
 
 def cmd_sweep(args) -> int:
     try:
-        config = _load_config(args.config)
+        raw = _read_json(args.config)
+        config = RunConfig.from_dict(raw)
         family = config.escort["family"]
-        if args.param not in ESCORTS[family][1]:
+        if args.param not in {field.name for field in fields(ESCORTS[family])}:
             raise ConfigError(f"the {family} escort has no parameter {args.param!r} to sweep")
         try:
             values = [float(v) for v in args.values.split(",") if v.strip() != ""]
@@ -379,9 +368,10 @@ def cmd_sweep(args) -> int:
             raise ConfigError("sweep needs at least one value")
         if len(set(values)) != len(values):
             raise ConfigError(f"sweep values must be distinct, got {args.values!r}")
-        configs = [_sweep_value(config, args.param, v) for v in values]
+        configs = [_sweep_value(raw, config, args.param, v) for v in values]
         # the identity-escort reference of the deviation column, written nowhere
-        ref_traj = _integrate(replace(config, escort={"family": "identity"}), None)
+        identity = {**raw, "escort": {"family": "identity"}, "refs": None}
+        ref_traj = _integrate(RunConfig.from_dict(identity))
         outcomes = [_execute(cfg) for cfg in configs]
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
@@ -422,26 +412,9 @@ def cmd_paper_suite(args) -> int:
         if len(set(names)) != len(names):
             print(f"config error: --only names must be distinct, got {args.only!r}", file=sys.stderr)
             return EXIT_CONFIG
-    overrides = {}
-    for item in args.override or []:
-        name, _, value = item.partition("=")
-        try:
-            tol = float(value)
-        except ValueError:
-            tol = math.nan
-        if name not in suite.CRITERIA_BY_NAME or not math.isfinite(tol):
-            print(f"config error: bad override {item!r} (want NAME=finite number)", file=sys.stderr)
-            return EXIT_CONFIG
-        if names is not None and name not in names:
-            print(f"config error: override {item!r} names a criterion --only does not select",
-                  file=sys.stderr)
-            return EXIT_CONFIG
-        if name in overrides:
-            print(f"config error: {name} is overridden twice", file=sys.stderr)
-            return EXIT_CONFIG
-        overrides[name] = tol
-    plan = suite.integrate_runs(suite.plan(suite.select(names)))
-    results = suite.run_suite(names=names, overrides=overrides)
+    selected = suite.select(names)
+    plan = suite.integrate_runs(suite.plan(selected))
+    results = [c.run() for c in selected]
     print(suite.format_report(results))
     print(plan)
     return EXIT_OK if all(r.passed for r in results) else EXIT_SUITE_FAIL
@@ -460,18 +433,12 @@ def main(argv=None) -> int:
 
     p_sweep = sub.add_parser("sweep", help="run a grid of escort parameters")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--param", required=True, choices=("q", "beta"))
+    p_sweep.add_argument("--param", required=True, help="an escort parameter to sweep")
     p_sweep.add_argument("--values", required=True, help="comma-separated parameter values")
     p_sweep.set_defaults(fn=cmd_sweep)
 
     p_suite = sub.add_parser("paper-suite", help="run the built-in verification suite")
     p_suite.add_argument("--only", help="comma-separated criterion names (default: all)")
-    p_suite.add_argument(
-        "--override",
-        action="append",
-        metavar="NAME=TOL",
-        help="replace a criterion tolerance (test hook)",
-    )
     p_suite.set_defaults(fn=cmd_paper_suite)
 
     args = parser.parse_args(argv)

@@ -166,8 +166,8 @@ def _check_controls(t_end, step, observe_every):
         raise ConfigError(f"step must be positive, got {step!r}")
     if not (t_end > 0.0 and math.isfinite(t_end)) or t_end < step:
         raise ConfigError(f"horizon must satisfy t_end >= step > 0, got t_end={t_end!r}")
-    if not math.isfinite(t_end / step):
-        raise ConfigError(f"horizon t_end={t_end!r} is too many steps of {step!r}")
+    if t_end / step > 2.0**53:  # beyond it the float t_end / step names no unique step count
+        raise ConfigError(f"horizon t_end={t_end!r} is too many steps of {step!r} (at most 2**53)")
     n_steps = round(t_end / step)
     if abs(n_steps * step - t_end) > HORIZON_TOL * t_end:
         raise ConfigError(f"step {step!r} does not divide the horizon t_end={t_end!r}")

@@ -27,7 +27,6 @@ from .simplex import as_simplex
 Q_DEGENERATE = 1e-9
 
 LOG_QUAD_TOL = 1e-10
-LOG_QUAD_DEPTH = 50
 EXP_TOL = 1e-10
 # Tolerance of each increment of log_phi while inverting it; the summed
 # error over the probes of one inversion stays below EXP_TOL.
@@ -91,7 +90,7 @@ class Escort:
         """
         if scalar:
             u = float(u[0])
-            return [gauss_kronrod(self.reciprocal, 1.0, u, tol=LOG_QUAD_TOL, max_depth=LOG_QUAD_DEPTH)]
+            return [gauss_kronrod(self.reciprocal, 1.0, u, tol=LOG_QUAD_TOL)]
         # a Python sort: numpy's sort kernels would add their pages to the resident set
         vals = u.tolist()
         order = sorted(range(len(vals)), key=vals.__getitem__)
@@ -101,9 +100,7 @@ class Escort:
         for side in (above, below):
             last_u, last_log = 1.0, 0.0
             for i in side:
-                last_log += gauss_kronrod(
-                    self.reciprocal, last_u, vals[i], tol=EXP_STEP_TOL, max_depth=LOG_QUAD_DEPTH
-                )
+                last_log += gauss_kronrod(self.reciprocal, last_u, vals[i], tol=EXP_STEP_TOL)
                 last_u = vals[i]
                 out[i] = last_log
         return out
@@ -118,9 +115,7 @@ class Escort:
 
         def log_phi(u):
             nonlocal last_u, last_log
-            last_log += gauss_kronrod(
-                self.reciprocal, last_u, u, tol=EXP_STEP_TOL, max_depth=LOG_QUAD_DEPTH
-            )
+            last_log += gauss_kronrod(self.reciprocal, last_u, u, tol=EXP_STEP_TOL)
             last_u = u
             return last_log
 
@@ -162,7 +157,7 @@ class Escort:
             return np.sqrt(self.reciprocal(v))
 
         return np.array([
-            gauss_kronrod(integrand, 1.0, a, tol=LOG_QUAD_TOL, max_depth=LOG_QUAD_DEPTH)
+            gauss_kronrod(integrand, 1.0, a, tol=LOG_QUAD_TOL)
             for a in np.asarray(u, dtype=float).tolist()
         ])
 

@@ -108,7 +108,7 @@ def _quadrature_terms(phi: Escort, a, b) -> float:
         if ai <= 0.0 or bi <= 0.0:
             raise DomainError("quadrature divergence needs strictly positive coordinates")
         total += gauss_kronrod(
-            lambda v, ai=ai: (ai - v) * phi.reciprocal(v), bi, ai, tol=DIVERGENCE_QUAD_TOL, max_depth=50
+            lambda v, ai=ai: (ai - v) * phi.reciprocal(v), bi, ai, tol=DIVERGENCE_QUAD_TOL
         )
     return total
 

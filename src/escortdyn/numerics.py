@@ -41,13 +41,17 @@ _GAUSS = np.zeros(15)
 _GAUSS[1:8:2] = _WG
 _GAUSS[9:15:2] = _WG[2::-1]
 
+QUAD_DEPTH = 50  # bisection levels before gauss_kronrod gives up
+BRACKET_START = 1.0  # invert_increasing brackets its root outward from here
+NEWTON_STEPS = 100  # safeguarded Newton steps before invert_increasing gives up
 
-def gauss_kronrod(f, a, b, tol=1e-10, max_depth=50):
+
+def gauss_kronrod(f, a, b, tol=1e-10):
     """Integrate ``f`` over ``[a, b]`` with adaptive Gauss-Kronrod 7/15 panels.
 
     A panel is accepted when its 15-point Kronrod and 7-point Gauss
-    estimates differ by at most its tolerance; otherwise it is bisected and
-    each half gets half the tolerance.
+    estimates differ by at most its tolerance; otherwise it is bisected, at
+    most QUAD_DEPTH times, and each half gets half the tolerance.
 
     Parameters
     ----------
@@ -58,13 +62,11 @@ def gauss_kronrod(f, a, b, tol=1e-10, max_depth=50):
         Integration limits; ``a > b`` flips the sign of the result.
     tol : float
         Absolute tolerance on the final value.
-    max_depth : int
-        Maximum bisection depth before giving up.
 
     Raises
     ------
     QuadratureError
-        If the tolerance is not met within ``max_depth`` levels, or the
+        If the tolerance is not met within QUAD_DEPTH levels, or the
         integrand returns a non-finite value.
     """
     if a == b:
@@ -74,7 +76,7 @@ def gauss_kronrod(f, a, b, tol=1e-10, max_depth=50):
         a, b = b, a
         sign = -1.0
     total = 0.0
-    panels = [(a, b, tol, max_depth)]
+    panels = [(a, b, tol, QUAD_DEPTH)]
     while panels:
         lo, hi, panel_tol, depth = panels.pop()
         mid = 0.5 * (lo + hi)
@@ -95,10 +97,10 @@ def gauss_kronrod(f, a, b, tol=1e-10, max_depth=50):
     return sign * total
 
 
-def invert_increasing(g, gprime, target, x0=1.0, tol=1e-10, max_iter=100):
+def invert_increasing(g, gprime, target, tol):
     """Solve ``g(x) = target`` for strictly increasing ``g`` on x > 0.
 
-    Brackets the root by doubling (or halving) from ``x0`` in the monotone
+    Brackets the root by doubling (or halving) from BRACKET_START in the monotone
     direction, then runs Newton steps safeguarded by bisection. ``gprime``
     must return the (positive) derivative of ``g``.
 
@@ -112,8 +114,8 @@ def invert_increasing(g, gprime, target, x0=1.0, tol=1e-10, max_iter=100):
         except OverflowError:
             raise RangeError(f"target {target!r} unattainable (overflow at x={x!r})") from None
 
-    lo = hi = x0
-    glo = ghi = g_bracket(x0)
+    lo = hi = BRACKET_START
+    glo = ghi = g_bracket(lo)
     if glo < target:
         for _ in range(2200):
             lo, glo = hi, ghi
@@ -137,10 +139,10 @@ def invert_increasing(g, gprime, target, x0=1.0, tol=1e-10, max_iter=100):
         else:
             raise RangeError(f"failed to bracket target {target!r} from below")
     else:
-        return x0
+        return BRACKET_START
 
     x, gx = (lo, glo) if target - glo <= ghi - target else (hi, ghi)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_STEPS):
         err = gx - target
         if abs(err) <= tol:
             return x

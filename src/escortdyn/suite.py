@@ -20,7 +20,7 @@ import signal
 import time
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -72,10 +72,10 @@ class Criterion:
     fn: Callable  # fn(tolerance, *trajectories of runs) -> (measured, passed, note)
     runs: tuple = ()  # the Runs whose trajectories fn takes, in order
 
-    def run(self, tolerance: Optional[float] = None) -> CriterionResult:
-        tol = self.tolerance if tolerance is None else float(tolerance)
-        measured, passed, note = self.fn(tol, *map(_traj, self.runs))
-        return CriterionResult(self.name, self.description, float(measured), tol, bool(passed), note)
+    def run(self) -> CriterionResult:
+        measured, passed, note = self.fn(self.tolerance, *map(_traj, self.runs))
+        return CriterionResult(self.name, self.description, float(measured), self.tolerance,
+                               bool(passed), note)
 
 
 RSP_ESCORT = "rsp_escort"  # the landscape f = A phi(x): RSP matrix A, the run's escort phi
@@ -120,7 +120,7 @@ class Run:
         )
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+_CacheInfo = namedtuple("CacheInfo", "misses")
 
 
 class _TrajectoryCache:
@@ -132,10 +132,10 @@ class _TrajectoryCache:
 
     def cache_clear(self):
         self.store = {}
-        self.hits = self.misses = 0
+        self.misses = 0
 
     def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self.hits, self.misses, None, len(self.store))
+        return _CacheInfo(self.misses)
 
     def add(self, run, trajectory):
         self.store[run] = trajectory
@@ -143,9 +143,7 @@ class _TrajectoryCache:
 
     def __call__(self, run) -> Trajectory:
         """The trajectory of ``run``, integrated here if no plan left it."""
-        if run in self.store:
-            self.hits += 1
-        else:
+        if run not in self.store:
             self.add(run, run.integrate())
         return self.store[run]
 
@@ -628,20 +626,14 @@ def select(names=None) -> list[Criterion]:
     return CRITERIA if names is None else [CRITERIA_BY_NAME[n] for n in names]
 
 
-def run_suite(names=None, overrides=None) -> list[CriterionResult]:
+def run_suite(names=None) -> list[CriterionResult]:
     """Run the selected criteria (all by default) and return their results.
 
     The criteria's runs are integrated first, as one plan (``integrate_runs``).
-    ``overrides`` maps criterion names to replacement tolerances; it exists
-    so tests can corrupt a tolerance and watch the suite fail.
     """
-    overrides = overrides or {}
-    unknown = set(overrides) - set(CRITERIA_BY_NAME)
-    if unknown:
-        raise KeyError(f"unknown criteria in overrides: {sorted(unknown)}")
     selected = select(names)
     integrate_runs(plan(selected))
-    return [c.run(overrides.get(c.name)) for c in selected]
+    return [c.run() for c in selected]
 
 
 def format_report(results) -> str:

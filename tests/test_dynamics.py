@@ -29,6 +29,7 @@ from escortdyn import (
     vector_field,
 )
 from escortdyn.analysis import simplex_samples
+from escortdyn.dynamics import _check_controls
 
 RSP = builtin_landscape("rsp")
 ZERO = FitnessLandscape.custom(lambda x: np.zeros(len(x)), name="zero")
@@ -184,11 +185,16 @@ class TestIntegrate:
             {"t_end": 1.0, "step": 0.01, "observe_every": 1.5},
             {"t_end": 1.0, "step": 0.3},
             {"t_end": 1e308, "step": 0.001},  # t_end / step overflows to inf
+            {"t_end": 2.0**54, "step": 1.0},  # more steps than a float names exactly
         ],
     )
     def test_config_errors(self, kwargs):
         with pytest.raises(ConfigError):
             integrate(Identity(), RSP, [0.5, 0.3, 0.2], **kwargs)
+
+    def test_step_count_limit_is_accepted(self):
+        # 2**53 steps is the largest count the float t_end / step names exactly
+        assert _check_controls(2.0**53, 1.0, 1) == (2**53, 1)
 
     def test_domain_error_at_start_propagates(self):
         with pytest.raises(DomainError):

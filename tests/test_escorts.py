@@ -257,7 +257,7 @@ class TestGaussKronrod:
     def test_depth_exhaustion_raises(self):
         step = lambda v: np.where(v < 1.0 / 3.0, 0.0, 1.0)  # noqa: E731
         with pytest.raises(QuadratureError):
-            gauss_kronrod(step, 0.0, 1.0, tol=1e-12, max_depth=5)
+            gauss_kronrod(step, 0.0, 1.0, tol=1e-12)
 
 
 def counting_custom(fn):
