@@ -34,12 +34,11 @@ from typing import Optional
 import numpy as np
 
 from .analysis import monotone_nonincreasing
-from .dynamics import Trajectory, _check_controls, integrate
+from .dynamics import BLOCK_ROWS, Trajectory, _check_controls, integrate
 from .errors import ConfigError, DomainError, EscortError
 from .escorts import Constant, Escort, Exponential, Identity, Power, Scaled
 from .landscapes import BUILTIN_LANDSCAPES, FitnessLandscape, builtin_landscape
 from .simplex import SimplexPoint
-from . import suite
 
 EXIT_OK = 0
 EXIT_SUITE_FAIL = 1
@@ -55,7 +54,6 @@ ESCORTS = {
     "constant": Constant,
     "exponential": Exponential,
 }
-CSV_BLOCK_ROWS = 512  # rows formatted per write: bounds the memory of a long trajectory
 
 
 @dataclass(frozen=True)
@@ -238,8 +236,8 @@ def write_trajectory(traj: Trajectory, path: str, fmt: str) -> None:
     if fmt == "csv":
         with open(path, "w") as fh:
             fh.write(",".join(names) + "\n")
-            for start in range(0, len(traj), CSV_BLOCK_ROWS):
-                block = np.column_stack([c[start : start + CSV_BLOCK_ROWS] for c in cols])
+            for start in range(0, len(traj), BLOCK_ROWS):
+                block = np.column_stack([c[start : start + BLOCK_ROWS] for c in cols])
                 fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
     else:
         rows = [[_json_float(v) for v in row] for row in np.column_stack(cols).tolist()]
@@ -349,7 +347,8 @@ def _sweep_value(raw: dict, config: RunConfig, param: str, value: float) -> RunC
     label = f"{value:g}"
     if float(label) != value:  # keep the short name only when it names this value alone
         label = repr(value)
-    output = {"path": f"{root}_{param}{label}{ext or '.csv'}", "format": config.output_format}
+    ext = ext or "." + config.output_format  # a path without one takes its format's
+    output = {"path": f"{root}_{param}{label}{ext}", "format": config.output_format}
     return RunConfig.from_dict({**raw, "escort": {**raw["escort"], param: value}, "output": output})
 
 
@@ -372,33 +371,36 @@ def cmd_sweep(args) -> int:
         # the identity-escort reference of the deviation column, written nowhere
         identity = {**raw, "escort": {"family": "identity"}, "refs": None}
         ref_traj = _integrate(RunConfig.from_dict(identity))
-        outcomes = [_execute(cfg) for cfg in configs]
+        runs = [_sweep_run(value, cfg, ref_traj) for value, cfg in zip(values, configs)]
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
 
-    runs = []
-    worst = EXIT_OK
-    for value, cfg, (code, traj) in zip(values, configs, outcomes):
-        deviation = None
-        if traj is not None and ref_traj is not None:
-            m = min(len(traj.states), len(ref_traj.states))
-            deviation = float(np.max(np.abs(traj.states[:m] - ref_traj.states[:m])))
-        runs.append(
-            {
-                "value": value,
-                "status": traj.termination.kind if traj is not None else "domain_error",
-                "exit_code": code,
-                "sup_deviation_from_identity": deviation,
-                "output": cfg.output_path,
-            }
-        )
-        worst = max(worst, code)
+    worst = max(run["exit_code"] for run in runs)
     print(json.dumps({"param": args.param, "runs": runs, "ok": worst == EXIT_OK}))
     return worst
 
 
+def _sweep_run(value: float, config: RunConfig, ref_traj: Optional[Trajectory]) -> dict:
+    """Run one sweep value and summarize it; the summary holds no trajectory,
+    so a sweep keeps one value's trajectory at a time."""
+    code, traj = _execute(config)
+    deviation = None
+    if traj is not None and ref_traj is not None:
+        m = min(len(traj.states), len(ref_traj.states))
+        deviation = float(np.max(np.abs(traj.states[:m] - ref_traj.states[:m])))
+    return {
+        "value": value,
+        "status": traj.termination.kind if traj is not None else "domain_error",
+        "exit_code": code,
+        "sup_deviation_from_identity": deviation,
+        "output": config.output_path,
+    }
+
+
 def cmd_paper_suite(args) -> int:
+    from . import suite  # only this command loads the suite and what it imports
+
     names = None
     if args.only:
         names = [n.strip() for n in args.only.split(",") if n.strip()]

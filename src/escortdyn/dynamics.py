@@ -25,6 +25,7 @@ from .simplex import SimplexPoint, as_simplex
 DEFAULT_STEP = 1e-3
 DRIFT_TOL = 1e-13  # renormalize when |sum x - 1| exceeds this
 HORIZON_TOL = 1e-9  # relative gap allowed between round(t_end/step) steps and t_end
+BLOCK_ROWS = 512  # samples per diagnostics block and per CSV write: bounds their temporaries
 
 
 @dataclass(frozen=True)
@@ -196,11 +197,22 @@ class _Recorder:
         self.means.append(float(mean))
 
     def build(self, termination):
+        """The Trajectory; the diagnostics take BLOCK_ROWS samples at a time,
+        except a Custom escort's, whose ``log`` accumulates over all of its
+        sorted arguments and would change its bits if split."""
         states = np.array(self.states)
+        self.states = None  # release the per-sample arrays before the diagnostics
         lyap = integral = None
         if self.ref is not None:
-            lyap = divergence_profile(self.phi, self.ref, states, allow_infinite=True)
-            integral = _safe_integral(self.phi, self.ref, states)
+            m = len(states)
+            lyap, integral = np.empty(m), np.empty(m)
+            rows = BLOCK_ROWS if self.phi.has_closed_log else m
+            for start in range(0, m, rows):
+                block = slice(start, start + rows)
+                lyap[block] = divergence_profile(
+                    self.phi, self.ref, states[block], allow_infinite=True
+                )
+                integral[block] = _safe_integral(self.phi, self.ref, states[block])
         return Trajectory(self.times, states, self.means, lyap, integral, termination)
 
 

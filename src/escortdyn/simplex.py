@@ -66,7 +66,8 @@ def barycenter(n: int) -> SimplexPoint:
     return SimplexPoint(np.full(n, 1.0 / n))
 
 
-def random_interior(n: int, rng: np.random.Generator) -> SimplexPoint:
+# a string annotation, so that importing escortdyn does not load numpy.random
+def random_interior(n: int, rng: "np.random.Generator") -> SimplexPoint:
     """Draw a uniform (Dirichlet(1, ..., 1)) point of the open simplex."""
     while True:
         x = rng.dirichlet(np.ones(n))

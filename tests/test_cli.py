@@ -325,7 +325,7 @@ class TestRunCommand:
 
     def test_csv_of_several_writer_blocks_is_bit_exact(self, tmp_path):
         from escortdyn import Power, barycenter, integrate
-        from escortdyn.cli import CSV_BLOCK_ROWS
+        from escortdyn.dynamics import BLOCK_ROWS
         from escortdyn.landscapes import FitnessLandscape, rsp_matrix
 
         path, _ = base_config(
@@ -347,7 +347,7 @@ class TestRunCommand:
             observe_every=1,
             ref=barycenter(3),
         )
-        assert len(rows) == len(tr) == 1501 > 2 * CSV_BLOCK_ROWS
+        assert len(rows) == len(tr) == 1501 > 2 * BLOCK_ROWS
         np.testing.assert_array_equal(rows[:, 0], tr.times)
         np.testing.assert_array_equal(rows[:, 1:4], tr.states)
         np.testing.assert_array_equal(rows[:, 4], tr.mean_fitness)
@@ -457,6 +457,20 @@ class TestSweepCommand:
         assert outputs == ["out/o_q1.0000001.csv", "out/o_q1.0000002.csv", "out/o_q2.csv"]
         for out in outputs:
             assert (tmp_path / out).exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_path_without_extension_takes_the_format(self, tmp_path, fmt, monkeypatch, capsys):
+        path, _ = base_config(
+            tmp_path, escort={"family": "power", "q": 1.0}, t_end=0.1, refs=None,
+            output={"path": "out/run", "format": fmt},
+        )
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--config", str(path), "--param", "q", "--values", "1.5"]) == 0
+        runs = json.loads(capsys.readouterr().out)["runs"]
+        assert [r["output"] for r in runs] == [f"out/run_q1.5.{fmt}"]
+        assert [p.name for p in (tmp_path / "out").iterdir()] == [f"run_q1.5.{fmt}"]
+        if fmt == "json":
+            assert json.loads((tmp_path / "out" / "run_q1.5.json").read_text())["termination"] == "completed"
 
     def test_duplicate_values_exit_2(self, tmp_path):
         path, _ = base_config(

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -29,7 +30,8 @@ from escortdyn import (
     vector_field,
 )
 from escortdyn.analysis import simplex_samples
-from escortdyn.dynamics import _check_controls
+from escortdyn.dynamics import BLOCK_ROWS, _check_controls, _safe_integral
+from escortdyn.geometry import divergence_profile
 
 RSP = builtin_landscape("rsp")
 ZERO = FitnessLandscape.custom(lambda x: np.zeros(len(x)), name="zero")
@@ -334,6 +336,69 @@ class TestRecordedDiagnostics:
         want = third * phi.log(0.5) + third * phi.log(0.5) + third * phi.log_zero_limit()
         assert np.all(np.isfinite(tr.integral_of_motion))
         np.testing.assert_allclose(tr.integral_of_motion, want, rtol=1e-15, atol=0.0)
+
+
+class TestDiagnosticBlocks:
+    """The diagnostics are computed BLOCK_ROWS samples at a time; each value
+    equals the whole-trajectory call bit for bit, and the memory they take
+    is bounded by a block, not by the run."""
+
+    @staticmethod
+    def _run(phi, x0, samples):
+        ref = barycenter(3)
+        tr = integrate(phi, RSP, x0, t_end=(samples - 1) * 1e-3, step=1e-3, ref=ref)
+        assert tr.termination.ok and len(tr) == samples
+        return tr, ref
+
+    @staticmethod
+    def _assert_whole_trajectory(phi, tr, ref):
+        lyap = divergence_profile(phi, ref, tr.states, allow_infinite=True)
+        assert np.array_equal(tr.lyapunov, lyap, equal_nan=True)
+        integral = _safe_integral(phi, ref.coords, tr.states)
+        assert np.array_equal(tr.integral_of_motion, integral, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "phi",
+        [Identity(), Scaled(2.0), Power(0.5), Power(2.0), Power(-1.0), Constant(1.0), Exponential()],
+    )
+    def test_closed_family_equals_the_whole_trajectory(self, phi):
+        # three blocks, the last one partial
+        tr, ref = self._run(phi, [0.5, 0.3, 0.2], 2 * BLOCK_ROWS + 17)
+        self._assert_whole_trajectory(phi, tr, ref)
+
+    def test_markers_on_a_face_in_every_block(self):
+        tr, ref = self._run(Identity(), [0.5, 0.5, 0.0], 2 * BLOCK_ROWS + 17)
+        self._assert_whole_trajectory(Identity(), tr, ref)
+        for start in range(0, len(tr), BLOCK_ROWS):
+            assert np.isposinf(tr.lyapunov[start : start + BLOCK_ROWS]).all()
+            assert np.isneginf(tr.integral_of_motion[start : start + BLOCK_ROWS]).all()
+
+    def test_custom_takes_one_block(self):
+        # Custom's log accumulates over all of its sorted arguments
+        phi = Custom(lambda v: v + v * v, name="v+v^2")
+        tr, ref = self._run(phi, [0.5, 0.3, 0.2], BLOCK_ROWS + 17)
+        self._assert_whole_trajectory(phi, tr, ref)
+
+    def test_peak_memory_is_bounded_by_the_states(self):
+        n = 30
+        c = np.zeros(n)  # first row of a circulant antisymmetric matrix
+        c[1 : (n + 1) // 2] = np.random.default_rng(5).uniform(-1.0, 1.0, (n - 1) // 2)
+        c[n - 1 : n // 2 : -1] = -c[1 : (n + 1) // 2]
+        A = np.array([[c[(j - i) % n] for j in range(n)] for i in range(n)])
+        assert np.array_equal(A, -A.T)
+        phi = Power(2.0)
+        f = FitnessLandscape.matrix_escort(A, phi)
+        tracemalloc.start()
+        try:
+            tr = integrate(phi, f, simplex_samples(n, 1, seed=3)[0], t_end=20.0, step=1e-3,
+                           ref=barycenter(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tr.termination.ok and len(tr) == 20_001
+        # the per-sample list and its stacked copy take about 3x; diagnostics over
+        # the whole run at once would add about 6x more
+        assert peak <= 4 * tr.states.nbytes
 
 
 def reference_rk4(phi, f, x0, t_end, step):

@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import escortdyn
 
 
@@ -20,15 +22,31 @@ def test_all_lists_exactly_the_public_names():
     assert len(set(escortdyn.__all__)) == len(escortdyn.__all__)
 
 
+def _run_fresh(probe):
+    """The stdout of ``probe`` run in a fresh interpreter that imports this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 def test_cli_import_loads_no_process_pool():
     # the suite forks its children itself; a pool module would add import
     # time and memory to every command
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = (
         "import sys, escortdyn.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _run_fresh(probe) == "[]"
+
+
+@pytest.mark.parametrize(
+    "module, absent",
+    [("escortdyn.cli", ["numpy.random", "escortdyn.suite"]), ("escortdyn", ["numpy.random"])],
+)
+def test_import_loads_neither_numpy_random_nor_the_suite(module, absent):
+    # no run draws a random number and only paper-suite runs the suite, so
+    # neither belongs in the memory of every run and sweep
+    probe = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
+    assert _run_fresh(probe) == "[]"
