@@ -1,4 +1,4 @@
-"""Verification utilities: rest points, ESS sampling, Lyapunov and rate checks."""
+"""Verification utilities: rest points, ESS sampling, rate checks and integrals of motion."""
 
 from dataclasses import dataclass
 from typing import Optional
@@ -7,10 +7,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .escorts import Escort, escort_variance, partition_function
-from .geometry import divergence_profile
 from .landscapes import FitnessLandscape
 from .simplex import SimplexPoint, as_simplex, random_interior
-from .dynamics import Trajectory, vector_field
+from .dynamics import vector_field
 
 PASSED_SAMPLED = "passed_sampled"
 FAILED_AT = "failed_at"
@@ -84,12 +83,6 @@ def ess_check_sampled(
     if min_margin <= 0.0:
         return ESSReport(xs, num_samples, min_margin, FAILED_AT, points[worst])
     return ESSReport(xs, num_samples, min_margin, PASSED_SAMPLED)
-
-
-def lyapunov_series(phi: Escort, traj: Trajectory, x_star) -> np.ndarray:
-    """D_phi(x* || x(t)) at every recorded sample of a trajectory."""
-    xs = as_simplex(x_star)
-    return divergence_profile(phi, xs.coords, traj.states)
 
 
 def fisher_rate(phi: Escort, f: FitnessLandscape, x) -> float:

@@ -214,7 +214,10 @@ def _norm_landscape(raw) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
+def write_trajectory(traj: Trajectory, path: str, fmt: str) -> None:
+    """Write a trajectory as CSV or JSON with round-trippable floats, BLOCK_ROWS
+    rows at a time; a non-finite value is ``inf``/``-inf``/``nan`` in CSV and
+    ``null`` in JSON."""
     names = ["t"] + [f"x_{i + 1}" for i in range(traj.n)] + ["escort_mean_fitness"]
     cols = [traj.times] + [traj.states[:, i] for i in range(traj.n)] + [traj.mean_fitness]
     if traj.lyapunov is not None:
@@ -223,28 +226,25 @@ def _columns(traj: Trajectory) -> tuple[list[str], list[np.ndarray]]:
     if traj.integral_of_motion is not None:
         names.append("integral")
         cols.append(traj.integral_of_motion)
-    return names, cols
-
-
-def write_trajectory(traj: Trajectory, path: str, fmt: str) -> None:
-    """Write a trajectory as CSV or JSON with round-trippable floats; a
-    non-finite value is ``inf``/``-inf``/``nan`` in CSV and ``null`` in JSON."""
-    names, cols = _columns(traj)
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write(",".join(names) + "\n")
-            for start in range(0, len(traj), BLOCK_ROWS):
-                block = np.column_stack([c[start : start + BLOCK_ROWS] for c in cols])
+    as_csv = fmt == "csv"
+    if as_csv:
+        head, tail = ",".join(names) + "\n", ""
+    else:  # the bytes of json.dump(doc, indent=1) with the rows spliced in
+        head = json.dumps({"columns": names}, indent=1)[:-2] + ',\n "rows": [\n'
+        tail = f'\n ],\n "termination": {json.dumps(traj.termination.kind)}\n}}\n'
+    with open(path, "w") as fh:
+        fh.write(head)
+        for start in range(0, len(traj), BLOCK_ROWS):
+            block = np.column_stack([c[start : start + BLOCK_ROWS] for c in cols])
+            if as_csv:
                 fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
-    else:
-        rows = [[_json_float(v) for v in row] for row in np.column_stack(cols).tolist()]
-        doc = {"columns": names, "rows": rows, "termination": traj.termination.kind}
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=1, allow_nan=False)
-            fh.write("\n")
+            else:  # each row at depth 2 of the document
+                text = (json.dumps([_json_float(v) for v in row], indent=1) for row in block.tolist())
+                fh.write((",\n" if start else "") + ",\n".join("  " + t.replace("\n", "\n  ") for t in text))
+        fh.write(tail)
 
 
 def _json_float(v):

@@ -91,9 +91,9 @@ class Trajectory:
 def _make_field(phi: Escort, f: FitnessLandscape):
     """Build the raw RHS closure; reuses escort weights when f = A phi(x).
 
-    Each call leaves the escort mean fitness <f(x)>_phi it computed in
-    ``field.mean``, so the integrator records it without evaluating the
-    escort and the landscape again.
+    Each call leaves its state and the escort mean fitness <f(x)>_phi it
+    computed in ``field.sample``, so the integrator records them without
+    evaluating the escort and the landscape again.
     """
     if f.kind == "matrix_escort" and f.escort == phi:
         A = f.matrix
@@ -101,7 +101,8 @@ def _make_field(phi: Escort, f: FitnessLandscape):
         def field(x):
             w = phi.weights(x)
             fx = A @ w
-            m = field.mean = (w @ fx) / np.add.reduce(w)
+            m = (w @ fx) / np.add.reduce(w)
+            field.sample = (x, m)
             return w * (fx - m)
 
         return field
@@ -109,7 +110,8 @@ def _make_field(phi: Escort, f: FitnessLandscape):
     def field(x):
         w = phi.weights(x)
         fx = f.evaluate(x)
-        m = field.mean = _escort_mean(f, w, fx)
+        m = _escort_mean(f, w, fx)
+        field.sample = (x, m)
         return w * (fx - m)
 
     return field
@@ -233,15 +235,49 @@ def _safe_integral(phi, ref, states):
     return total
 
 
-def _rk4_step(rhs, y, h, k1=None):
-    """One classical Runge-Kutta 4 step of dy/dt = rhs(y) from y; ``k1`` is
-    rhs(y) when the caller has already evaluated it."""
-    if k1 is None:
-        k1 = rhs(y)
+def _rk4_step(rhs, y, h, k1):
+    """One classical Runge-Kutta 4 step of dy/dt = rhs(y) from y, where k1 = rhs(y)."""
     k2 = rhs(y + 0.5 * h * k1)
     k3 = rhs(y + 0.5 * h * k2)
     k4 = rhs(y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _march(rhs, y, h, n_steps, observe_every, rec, accept=None):
+    """Take ``n_steps`` RK4 steps of size ``h`` from ``y``, record the samples
+    in ``rec`` and return the Termination.
+
+    ``rhs`` is evaluated once at each accepted state: that evaluation is the
+    next step's first stage and leaves the state's ``(x, mean)`` in
+    ``rhs.sample``, so ``s`` steps make 4s + 1 evaluations. The samples at
+    t = 0, at every ``observe_every``-th step and at the last accepted state
+    are recorded. ``accept(y_new, t_new)``, when given, may rescale ``y_new``
+    in place and returns None to accept it or a Termination that ends the
+    run, and a DomainError while stepping ends the run with ``boundary_exit``
+    at the last accepted state; without it every step is accepted and errors
+    propagate.
+    """
+    stops = () if accept is None else DomainError
+    k1 = rhs(y)
+    rec.record(0.0, *rhs.sample)
+    t, termination = 0.0, None  # the time of the last accepted state; None while running
+    for k in range(n_steps):
+        t_new = (k + 1) * h
+        try:
+            y_new = _rk4_step(rhs, y, h, k1)
+            termination = accept and accept(y_new, t_new)
+            if termination:
+                break
+            k1 = rhs(y_new)  # accepting y_new: the next step's first stage
+        except stops as err:
+            termination = Termination.boundary_exit(t, err.index)
+            break
+        y, t, sample = y_new, t_new, rhs.sample  # the next step's stages overwrite rhs.sample
+        if (k + 1) % observe_every == 0:
+            rec.record(t, *sample)
+    if rec.times[-1] < t:
+        rec.record(t, *sample)
+    return termination or Termination.completed()
 
 
 def integrate(
@@ -261,58 +297,34 @@ def integrate(
     analytically tangent, so this corrects rounding only. When a step
     leaves the escort's domain or produces a negative coordinate the
     trajectory ends with a ``boundary_exit`` termination; non-finite
-    states end it with ``step_failure``.
-
-    The field is evaluated once at each accepted state: that evaluation is
-    the next step's first stage and gives the state's mean fitness, so a
-    run of ``s`` steps makes 4s + 1 evaluations. A state where the field
-    raises DomainError is not accepted: the run ends with ``boundary_exit``
-    at the last accepted state, which is recorded.
+    states end it with ``step_failure``. A state where the field raises
+    DomainError is not accepted: the run ends with ``boundary_exit`` at the
+    last accepted state, which is recorded.
     """
     n_steps, observe_every = _check_controls(t_end, step, observe_every)
     x = as_simplex(x0).coords.copy()
-    field = _make_field(phi, f)
     strict = phi.requires_positive
     rec = _Recorder(phi, f, ref)
     if rec.ref is not None and rec.ref.size != x.size:  # fail before the first step, not after
         raise DimensionError(f"states must have shape (m, {rec.ref.size})")
-    k1 = field(x)
-    rec.record(0.0, x, field.mean)
 
-    termination = Termination.completed()
-    h = float(step)
-    t_x = 0.0  # time of the last accepted state
-    for k in range(n_steps):
-        t_new = (k + 1) * h
-        try:
-            x_new = _rk4_step(field, x, h, k1)
-            # one scalar test for the sign and one for finiteness; the
-            # elementwise pass runs only when one fails, to tell which and where
-            lo = np.fmin.reduce(x_new)  # skips NaN, which then makes the sum NaN
-            outside = lo <= 0.0 if strict else lo < 0.0
-            # summed only without -inf entries, so the sum cannot warn on inf - inf
-            total = math.nan if outside else np.add.reduce(x_new)
-            if not math.isfinite(total):
-                if not np.isfinite(x_new).all():
-                    termination = Termination.step_failure(t_new)
-                    break
-                if outside:
-                    bad = (x_new <= 0.0) if strict else (x_new < 0.0)
-                    termination = Termination.boundary_exit(t_new, int(bad.argmax()))
-                    break
-            if abs(total - 1.0) > DRIFT_TOL:
-                x_new /= total
-            k1 = field(x_new)  # accepting x_new: the next step's first stage
-        except DomainError as err:
-            termination = Termination.boundary_exit(t_x, err.index)
-            break
-        x, t_x, mean = x_new, t_new, field.mean  # the next step's stages overwrite field.mean
-        if (k + 1) % observe_every == 0:
-            rec.record(t_x, x, mean)
-    if rec.times[-1] < t_x:
-        rec.record(t_x, x, mean)
+    def accept(x_new, t_new):
+        # one scalar test for the sign and one for finiteness; the
+        # elementwise pass runs only when one fails, to tell which and where
+        lo = np.fmin.reduce(x_new)  # skips NaN, which then makes the sum NaN
+        outside = lo <= 0.0 if strict else lo < 0.0
+        # summed only without -inf entries, so the sum cannot warn on inf - inf
+        total = math.nan if outside else np.add.reduce(x_new)
+        if not math.isfinite(total):
+            if not np.isfinite(x_new).all():
+                return Termination.step_failure(t_new)
+            if outside:
+                bad = (x_new <= 0.0) if strict else (x_new < 0.0)
+                return Termination.boundary_exit(t_new, int(bad.argmax()))
+        if abs(total - 1.0) > DRIFT_TOL:
+            x_new /= total
 
-    return rec.build(termination)
+    return rec.build(_march(_make_field(phi, f), x, float(step), n_steps, observe_every, rec, accept))
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +366,8 @@ def integrate_formal_solution(
     v_i(0) = log_phi(x0_i) and G(0) = 0. Raises RangeError when v_i - G
     leaves the attainable range of exp_phi.
 
-    As in ``integrate``, the right-hand side is evaluated once at each
-    accepted state: that evaluation is the next step's first stage and gives
-    the sample, the reconstructed state and its mean fitness, which are
-    recorded as they are (their sum drifts from 1 by the integration error).
+    The samples are the reconstructed states and their mean fitness, recorded
+    as they are (their sum drifts from 1 by the integration error).
     """
     n_steps, observe_every = _check_controls(t_end, step, observe_every)
     xs = as_simplex(x0)
@@ -366,10 +376,11 @@ def integrate_formal_solution(
     n = xs.n
 
     def rhs(z):
-        x = rhs.x = phi.exp(z[:n] - z[n])
+        x = phi.exp(z[:n] - z[n])
         w = phi.weights(x)
         fx = f.evaluate(x)
-        m = rhs.mean = _escort_mean(f, w, fx)
+        m = _escort_mean(f, w, fx)
+        rhs.sample = (x, m)
         out = np.empty(n + 1)
         out[:n] = fx
         out[n] = m
@@ -380,14 +391,4 @@ def integrate_formal_solution(
     z[n] = 0.0
 
     rec = _Recorder(phi, f, None)
-    k1 = rhs(z)
-    rec.record(0.0, rhs.x, rhs.mean)
-    h = float(step)
-    for k in range(n_steps):
-        z = _rk4_step(rhs, z, h, k1)
-        k1 = rhs(z)  # the next step's first stage and this state's sample
-        if (k + 1) % observe_every == 0:
-            rec.record((k + 1) * h, rhs.x, rhs.mean)
-    if rec.times[-1] < n_steps * h:
-        rec.record(n_steps * h, rhs.x, rhs.mean)
-    return rec.build(Termination.completed())
+    return rec.build(_march(rhs, z, float(step), n_steps, observe_every, rec))

@@ -34,6 +34,7 @@ from .dynamics import (
     integrate_formal_solution,
     vector_field,
 )
+from .errors import ConfigError
 from .escorts import (
     Constant,
     Custom,
@@ -209,12 +210,17 @@ def _c04_lyapunov(tol, *trajectories):
 def _fd_potential_rate(phi, f, x, delta=1e-5):
     field = _make_field(phi, f)
     x = np.asarray(x, dtype=float)
-    ahead, behind = _rk4_step(field, x, delta), _rk4_step(field, x, -delta)
+    k1 = field(x)
+    ahead, behind = _rk4_step(field, x, delta, k1), _rk4_step(field, x, -delta, k1)
     return (f.potential(ahead) - f.potential(behind)) / (2.0 * delta)
 
 
 def _c05_fisher(tol, *trajectories):
     f = builtin_landscape("neg_identity")
+    try:
+        f.validate_potential(3)  # the rates compared below are equal only if f = grad V
+    except ConfigError as err:
+        return math.inf, False, f"neg_identity: {err}"
     worst = 0.0
     for run, tr in zip(_GRADIENT_RUNS, trajectories):
         phi = run.phi

@@ -18,13 +18,13 @@ from escortdyn import (
     integral_of_motion,
     integrate,
     is_rest_point,
-    lyapunov_series,
     monotone_nonincreasing,
     rsp_matrix,
     vector_field,
 )
 from escortdyn.analysis import simplex_samples
 from escortdyn.dynamics import _make_field
+from escortdyn.geometry import divergence_profile
 from escortdyn.landscapes import FitnessLandscape
 
 RSP = builtin_landscape("rsp")
@@ -90,13 +90,13 @@ class TestLyapunovSeries:
     def test_constant_trajectory_gives_zeros(self):
         zero = FitnessLandscape.custom(lambda x: np.zeros(len(x)), name="zero")
         tr = integrate(Identity(), zero, barycenter(3), t_end=1.0, step=0.01)
-        series = lyapunov_series(Identity(), tr, barycenter(3))
+        series = divergence_profile(Identity(), barycenter(3).coords, tr.states)
         np.testing.assert_array_equal(series, np.zeros(len(series)))
 
     @pytest.mark.parametrize("phi", GRADIENT_ESCORTS)
     def test_strictly_decreasing_along_gradient_flow(self, phi):
         tr = integrate(phi, NEG, [0.6, 0.3, 0.1], t_end=5.0, step=1e-3, observe_every=10)
-        series = lyapunov_series(phi, tr, barycenter(3))
+        series = divergence_profile(phi, barycenter(3).coords, tr.states)
         assert monotone_nonincreasing(series, per_step_tol=1e-10)
         assert series[-1] < series[0]
 
@@ -104,7 +104,7 @@ class TestLyapunovSeries:
         tr = integrate(
             Identity(), NEG, [0.6, 0.3, 0.1], t_end=1.0, step=1e-2, ref=barycenter(3)
         )
-        series = lyapunov_series(Identity(), tr, barycenter(3))
+        series = divergence_profile(Identity(), barycenter(3).coords, tr.states)
         np.testing.assert_allclose(series, tr.lyapunov, rtol=0, atol=0)
 
     def test_divergence_blowup_raises(self):
@@ -113,7 +113,7 @@ class TestLyapunovSeries:
         zero = FitnessLandscape.custom(lambda x: np.zeros(len(x)), name="zero")
         tr = integrate(Identity(), zero, [0.5, 0.5, 0.0], t_end=0.1, step=1e-2)
         with pytest.raises(DivergenceInfinite):
-            lyapunov_series(Identity(), tr, barycenter(3))
+            divergence_profile(Identity(), barycenter(3).coords, tr.states)
 
 
 class TestFisherRate:
@@ -217,7 +217,7 @@ class TestEscortESSTheorem:
         assert is_rest_point(phi, self.ESS_GAME, x_star, tol=1e-12)
         tr = integrate(phi, self.ESS_GAME, [0.6, 0.3, 0.1], t_end=5.0, step=0.01)
         assert tr.termination.ok
-        assert np.all(np.diff(lyapunov_series(phi, tr, x_star)) < 0.0)
+        assert np.all(np.diff(divergence_profile(phi, x_star.coords, tr.states)) < 0.0)
 
     @pytest.mark.parametrize("phi", ESCORTS)
     def test_divergence_rate_along_field(self, phi):
@@ -236,4 +236,4 @@ class TestEscortESSTheorem:
         report = ess_check_sampled(self.ANTI_GAME, x_star, 500, seed=0)
         assert report.verdict == "failed_at" and report.failure_point is not None
         tr = integrate(Identity(), self.ANTI_GAME, [0.35, 0.33, 0.32], t_end=5.0, step=0.01)
-        assert np.all(np.diff(lyapunov_series(Identity(), tr, x_star)) > 0.0)
+        assert np.all(np.diff(divergence_profile(Identity(), x_star.coords, tr.states)) > 0.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -353,6 +354,33 @@ class TestRunCommand:
         np.testing.assert_array_equal(rows[:, 4], tr.mean_fitness)
         np.testing.assert_array_equal(rows[:, 5], tr.lyapunov)
         np.testing.assert_array_equal(rows[:, 6], tr.integral_of_motion)
+
+    def test_json_of_several_writer_blocks_is_one_json_dump(self, tmp_path):
+        from escortdyn import Identity, barycenter, integrate
+        from escortdyn.cli import write_trajectory
+        from escortdyn.dynamics import BLOCK_ROWS
+        from escortdyn.landscapes import builtin_landscape
+
+        m = 2 * BLOCK_ROWS + 17
+        tr = integrate(Identity(), builtin_landscape("rsp"), [0.5, 0.3, 0.2], (m - 1) * 1e-2, 1e-2,
+                       ref=barycenter(3))
+        assert len(tr) == m
+        # values whose JSON spelling a hand-written encoder gets wrong, on block edges too
+        tr.states[3, 0] = -0.0
+        tr.mean_fitness[7] = np.nan
+        tr.mean_fitness[BLOCK_ROWS] = 1e-300
+        tr.lyapunov[BLOCK_ROWS - 1] = np.inf
+        tr.integral_of_motion[m - 1] = -np.inf
+        path = tmp_path / "run.json"
+        write_trajectory(tr, str(path), "json")
+        cols = [tr.times, *tr.states.T, tr.mean_fitness, tr.lyapunov, tr.integral_of_motion]
+        rows = [[v if math.isfinite(v) else None for v in row] for row in np.column_stack(cols).tolist()]
+        doc = {
+            "columns": ["t", "x_1", "x_2", "x_3", "escort_mean_fitness", "lyapunov", "integral"],
+            "rows": rows,
+            "termination": "completed",
+        }
+        assert path.read_text() == json.dumps(doc, indent=1, allow_nan=False) + "\n"
 
     def test_escort_form_matrix_landscape_conserves(self, tmp_path):
         # f(x) = A phi(x) with the run escort: same conservation as the builtin

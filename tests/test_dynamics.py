@@ -32,6 +32,7 @@ from escortdyn import (
 from escortdyn.analysis import simplex_samples
 from escortdyn.dynamics import BLOCK_ROWS, _check_controls, _safe_integral
 from escortdyn.geometry import divergence_profile
+from escortdyn.suite import X0_CYCLE
 
 RSP = builtin_landscape("rsp")
 ZERO = FitnessLandscape.custom(lambda x: np.zeros(len(x)), name="zero")
@@ -612,6 +613,15 @@ class TestFormalSolution:
             w = Power(2.0).weights(x)
             assert m == w @ RSP(x) / w.sum()
 
+    def test_non_finite_landscape_raises_where_integrate_ends_the_run(self):
+        land = FitnessLandscape.custom(
+            lambda x: RSP(x) if x[0] >= 0.45 else np.full(3, np.inf), name="rsp, inf below x_1 = 0.45"
+        )
+        with pytest.raises(DomainError):
+            integrate_formal_solution(Identity(), land, X0_CYCLE, t_end=5.0, step=1e-3)
+        tr = integrate(Identity(), land, X0_CYCLE, t_end=5.0, step=1e-3)
+        assert tr.termination == Termination("boundary_exit", time=2.229, index=None)
+
     def test_range_error_when_flow_crosses_boundary(self):
         from escortdyn import RangeError
 
@@ -623,16 +633,15 @@ class TestFormalSolution:
 
 class TestRK4Order:
     """Global error against an independent high-order solution: halving the
-    step of classical RK4 divides the error by about 2^4 = 16."""
+    step of classical RK4 divides the error by about 2^4 = 16, and at step
+    1e-3 both integrators agree with it to 1e-11."""
 
-    @pytest.mark.parametrize(
-        "phi",
-        [Identity(), Scaled(2.0), Power(0.5), Power(2.0), Power(3.0), Constant(1.0), Exponential()],
-    )
-    def test_halving_the_step_cuts_the_error_16_fold(self, phi):
+    FAMILIES = [Identity(), Scaled(2.0), Power(0.5), Power(2.0), Power(3.0), Constant(1.0), Exponential()]
+    TIMES = np.linspace(0.0, 2.0, 21)
+
+    def dop853(self, phi):
+        """The RSP flow from X0_CYCLE at TIMES by scipy's DOP853."""
         integrate_ivp = pytest.importorskip("scipy.integrate")
-        from escortdyn.suite import X0_CYCLE
-
         A = rsp_matrix()
 
         def rhs(t, x):
@@ -640,16 +649,62 @@ class TestRK4Order:
             fx = A @ x
             return w * (fx - w @ fx / w.sum())
 
-        times = np.linspace(0.0, 2.0, 21)
-        ref = integrate_ivp.solve_ivp(
-            rhs, (0.0, 2.0), X0_CYCLE, method="DOP853", t_eval=times, rtol=1e-13, atol=1e-15
+        return integrate_ivp.solve_ivp(
+            rhs, (0.0, 2.0), X0_CYCLE, method="DOP853", t_eval=self.TIMES, rtol=1e-13, atol=1e-15
         ).y.T
+
+    @pytest.mark.parametrize("phi", FAMILIES)
+    def test_halving_the_step_cuts_the_error_16_fold(self, phi):
+        ref = self.dop853(phi)
         errors = []
         for h, every in ((0.1, 1), (0.05, 2)):  # samples on the same 21 times
             tr = integrate(phi, RSP, X0_CYCLE, t_end=2.0, step=h, observe_every=every)
-            np.testing.assert_allclose(tr.times, times, rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(tr.times, self.TIMES, rtol=0.0, atol=1e-12)
             errors.append(np.max(np.abs(tr.states - ref)))
         assert 14.0 <= errors[0] / errors[1] <= 18.0
+
+    @pytest.mark.parametrize("phi", FAMILIES)
+    def test_both_integrators_match_dop853_at_a_small_step(self, phi):
+        ref = self.dop853(phi)
+        for run in (integrate, integrate_formal_solution):
+            tr = run(phi, RSP, X0_CYCLE, t_end=2.0, step=1e-3, observe_every=100)
+            np.testing.assert_allclose(tr.times, self.TIMES, rtol=0.0, atol=1e-12)
+            assert np.max(np.abs(tr.states - ref)) <= 1e-11, run.__name__
+
+
+class TestBoundaryExits:
+    """Where the flow leaves the simplex, against scipy's event location."""
+
+    @pytest.mark.parametrize("phi", [Constant(1.0), Exponential()])
+    def test_exit_time_is_within_one_step_of_the_event(self, phi):
+        integrate_ivp = pytest.importorskip("scipy.integrate")
+        push = np.array([-20.0, 20.0, 0.0])
+        x0 = [0.1, 0.4, 0.5]
+
+        def rhs(t, x):
+            w = phi.weights(x)
+            return w * (push - w @ push / w.sum())
+
+        def drained(t, x):
+            return x[0]
+
+        drained.terminal = True
+        drained.direction = -1
+        (event,) = integrate_ivp.solve_ivp(
+            rhs, (0.0, 1.0), x0, method="DOP853", events=drained, rtol=1e-13, atol=1e-15
+        ).t_events[0]
+        land = FitnessLandscape.custom(lambda x: push.copy(), name="push")
+        tr = integrate(phi, land, x0, t_end=1.0, step=1e-3)
+        assert tr.termination.kind == "boundary_exit" and tr.termination.index == 0
+        assert abs(tr.termination.time - event) <= 1e-3
+
+    @pytest.mark.parametrize("landscape", ["rsp", "neg_identity"])
+    @pytest.mark.parametrize("phi", [Identity(), Scaled(2.0), Power(0.5), Power(2.0)])
+    def test_escorts_with_phi_0_zero_keep_the_interior(self, phi, landscape):
+        # phi(0) = 0 makes the simplex forward-invariant: no run may leave it
+        tr = integrate(phi, builtin_landscape(landscape), X0_CYCLE, t_end=20.0, step=1e-2)
+        assert tr.termination.ok
+        assert np.all(tr.states > 0.0)
 
 
 class TestLandscapes:

@@ -43,10 +43,15 @@ def test_cli_import_loads_no_process_pool():
 
 @pytest.mark.parametrize(
     "module, absent",
-    [("escortdyn.cli", ["numpy.random", "escortdyn.suite"]), ("escortdyn", ["numpy.random"])],
+    [
+        ("escortdyn.cli", ["numpy.random", "escortdyn.suite", "scipy", "hypothesis"]),
+        ("escortdyn", ["numpy.random", "scipy", "hypothesis"]),
+        ("escortdyn.suite", ["scipy"]),
+    ],
 )
 def test_import_loads_neither_numpy_random_nor_the_suite(module, absent):
     # no run draws a random number and only paper-suite runs the suite, so
-    # neither belongs in the memory of every run and sweep
+    # neither belongs in the memory of every run and sweep; numpy is the only
+    # runtime dependency, and scipy and hypothesis serve the tests alone
     probe = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
     assert _run_fresh(probe) == "[]"

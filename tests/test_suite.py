@@ -14,6 +14,7 @@ import pytest
 
 from escortdyn import suite
 from escortdyn.errors import DomainError
+from escortdyn.landscapes import FitnessLandscape
 from escortdyn.escorts import Identity, Power
 from escortdyn.suite import RSP_ESCORT, X0_CYCLE, Run
 
@@ -172,3 +173,14 @@ def test_no_child_outlives_a_raising_parent(monkeypatch):
         suite.integrate_runs(RUNS)
     assert time.perf_counter() - t0 < 30
     assert_no_child()
+
+
+def test_fisher_criterion_fails_with_a_note_when_its_potential_is_wrong(monkeypatch):
+    # c05 compares Z_phi Var_phi[f] with dV/dt, equal only when f = grad V
+    wrong = FitnessLandscape.custom(lambda x: x, potential=lambda x: -0.5 * float(x @ x), name="wrong")
+    monkeypatch.setattr(suite, "builtin_landscape", lambda name: wrong)
+    fisher = suite.CRITERIA_BY_NAME["fisher_rate_gradient_flows"]
+    result = suite.Criterion(fisher.name, fisher.description, fisher.tolerance, fisher.fn).run()
+    assert not result.passed and result.measured == float("inf")
+    assert "declared potential mismatches f" in result.note
+    assert "FAIL" in suite.format_report([result])
