@@ -89,27 +89,17 @@ class Trajectory:
 
 
 def _make_field(phi: Escort, f: FitnessLandscape):
-    """Build the raw RHS closure; reuses escort weights when f = A phi(x).
+    """Build the raw RHS closure w * (f(x) - <f(x)>_phi), with w = phi(x).
 
-    Each call leaves its state and the escort mean fitness <f(x)>_phi it
-    computed in ``field.sample``, so the integrator records them without
-    evaluating the escort and the landscape again.
+    f = A phi(x) on this escort reuses the weights; either way ``_escort_mean``
+    checks the mean. Each call leaves its state and that mean in ``field.sample``,
+    so the integrator records them without evaluating phi and f again.
     """
-    if f.kind == "matrix_escort" and f.escort == phi:
-        A = f.matrix
-
-        def field(x):
-            w = phi.weights(x)
-            fx = A @ w
-            m = (w @ fx) / np.add.reduce(w)
-            field.sample = (x, m)
-            return w * (fx - m)
-
-        return field
+    shared = f.kind == "matrix_escort" and f.escort == phi
 
     def field(x):
         w = phi.weights(x)
-        fx = f.evaluate(x)
+        fx = f.matrix @ w if shared else f.evaluate(x)
         m = _escort_mean(f, w, fx)
         field.sample = (x, m)
         return w * (fx - m)
@@ -118,7 +108,7 @@ def _make_field(phi: Escort, f: FitnessLandscape):
 
 
 def _escort_mean(f: FitnessLandscape, w, fx):
-    """<f(x)>_phi from the weights ``w`` and the unchecked fitness ``fx = f.evaluate(x)``.
+    """<f(x)>_phi from the weights ``w`` and the unchecked fitness ``fx``.
 
     A non-finite entry of ``fx`` always makes the mean non-finite (at a zero
     weight it gives NaN), so ``fx`` is checked entry by entry only then,
@@ -177,45 +167,18 @@ def _check_controls(t_end, step, observe_every):
     return n_steps, observe_every
 
 
-class _Recorder:
-    """The samples of a run, each with its escort mean fitness, and their diagnostics."""
-
-    def __init__(self, phi, f, ref):
-        self.phi = phi
-        self.f = f
-        self.ref = None if ref is None else as_simplex(ref).coords
-        self.times = []
-        self.states = []
-        self.means = []
-
-    def record(self, t, x, mean):
-        """Add the sample (t, x) with its mean fitness ``mean``. A non-finite
-        ``mean`` is evaluated afresh, so that the landscape's own finiteness
-        check (which the ``f = A phi(x)`` field skips) raises here."""
-        if not math.isfinite(mean):
-            mean = escort_mean_fitness(self.phi, self.f, x)
-        self.times.append(t)
-        self.states.append(x.copy())
-        self.means.append(float(mean))
-
-    def build(self, termination):
-        """The Trajectory; the diagnostics take BLOCK_ROWS samples at a time,
-        except a Custom escort's, whose ``log`` accumulates over all of its
-        sorted arguments and would change its bits if split."""
-        states = np.array(self.states)
-        self.states = None  # release the per-sample arrays before the diagnostics
-        lyap = integral = None
-        if self.ref is not None:
-            m = len(states)
-            lyap, integral = np.empty(m), np.empty(m)
-            rows = BLOCK_ROWS if self.phi.has_closed_log else m
-            for start in range(0, m, rows):
-                block = slice(start, start + rows)
-                lyap[block] = divergence_profile(
-                    self.phi, self.ref, states[block], allow_infinite=True
-                )
-                integral[block] = _safe_integral(self.phi, self.ref, states[block])
-        return Trajectory(self.times, states, self.means, lyap, integral, termination)
+def _diagnostics(phi, ref, states):
+    """D_phi(ref || x) and sum_i ref_i log_phi(x_i) at every sample ``x``, BLOCK_ROWS
+    samples at a time; a Custom escort's at once, as its ``log`` accumulates over
+    all of its sorted arguments and would change its bits if split."""
+    m = len(states)
+    lyap, integral = np.empty(m), np.empty(m)
+    rows = BLOCK_ROWS if phi.has_closed_log else m
+    for start in range(0, m, rows):
+        block = slice(start, start + rows)
+        lyap[block] = divergence_profile(phi, ref, states[block], allow_infinite=True)
+        integral[block] = _safe_integral(phi, ref, states[block])
+    return lyap, integral
 
 
 def _safe_integral(phi, ref, states):
@@ -243,23 +206,29 @@ def _rk4_step(rhs, y, h, k1):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _march(rhs, y, h, n_steps, observe_every, rec, accept=None):
-    """Take ``n_steps`` RK4 steps of size ``h`` from ``y``, record the samples
-    in ``rec`` and return the Termination.
+def _march(rhs, y, h, n_steps, observe_every, accept=None):
+    """Take ``n_steps`` RK4 steps of size ``h`` from ``y``; returns the samples
+    at t = 0, at every ``observe_every``-th step and at the last accepted state
+    as ``(times, states, means, termination)``, ``states`` an (m, n) array.
 
     ``rhs`` is evaluated once at each accepted state: that evaluation is the
     next step's first stage and leaves the state's ``(x, mean)`` in
-    ``rhs.sample``, so ``s`` steps make 4s + 1 evaluations. The samples at
-    t = 0, at every ``observe_every``-th step and at the last accepted state
-    are recorded. ``accept(y_new, t_new)``, when given, may rescale ``y_new``
-    in place and returns None to accept it or a Termination that ends the
-    run, and a DomainError while stepping ends the run with ``boundary_exit``
-    at the last accepted state; without it every step is accepted and errors
-    propagate.
+    ``rhs.sample``, so ``s`` steps make 4s + 1 evaluations. ``accept(y_new,
+    t_new)``, when given, may rescale ``y_new`` in place and returns None to
+    accept it or a Termination that ends the run, and a DomainError while
+    stepping ends the run with ``boundary_exit`` at the last accepted state;
+    without it every step is accepted and errors propagate.
     """
     stops = () if accept is None else DomainError
+    times, states, means = [], [], []
+
+    def record(t, x, mean):
+        times.append(t)
+        states.append(x.copy())
+        means.append(float(mean))
+
     k1 = rhs(y)
-    rec.record(0.0, *rhs.sample)
+    record(0.0, *rhs.sample)
     t, termination = 0.0, None  # the time of the last accepted state; None while running
     for k in range(n_steps):
         t_new = (k + 1) * h
@@ -274,10 +243,10 @@ def _march(rhs, y, h, n_steps, observe_every, rec, accept=None):
             break
         y, t, sample = y_new, t_new, rhs.sample  # the next step's stages overwrite rhs.sample
         if (k + 1) % observe_every == 0:
-            rec.record(t, *sample)
-    if rec.times[-1] < t:
-        rec.record(t, *sample)
-    return termination or Termination.completed()
+            record(t, *sample)
+    if times[-1] < t:
+        record(t, *sample)
+    return times, np.array(states), means, termination or Termination.completed()
 
 
 def integrate(
@@ -304,9 +273,9 @@ def integrate(
     n_steps, observe_every = _check_controls(t_end, step, observe_every)
     x = as_simplex(x0).coords.copy()
     strict = phi.requires_positive
-    rec = _Recorder(phi, f, ref)
-    if rec.ref is not None and rec.ref.size != x.size:  # fail before the first step, not after
-        raise DimensionError(f"states must have shape (m, {rec.ref.size})")
+    ref = None if ref is None else as_simplex(ref).coords
+    if ref is not None and ref.size != x.size:  # fail before the first step, not after
+        raise DimensionError(f"states must have shape (m, {ref.size})")
 
     def accept(x_new, t_new):
         # one scalar test for the sign and one for finiteness; the
@@ -324,7 +293,10 @@ def integrate(
         if abs(total - 1.0) > DRIFT_TOL:
             x_new /= total
 
-    return rec.build(_march(_make_field(phi, f), x, float(step), n_steps, observe_every, rec, accept))
+    field = _make_field(phi, f)
+    times, states, means, termination = _march(field, x, float(step), n_steps, observe_every, accept)
+    lyap, integral = (None, None) if ref is None else _diagnostics(phi, ref, states)
+    return Trajectory(times, states, means, lyap, integral, termination)
 
 
 # ---------------------------------------------------------------------------
@@ -390,5 +362,5 @@ def integrate_formal_solution(
     z[:n] = phi.log(xs.coords)
     z[n] = 0.0
 
-    rec = _Recorder(phi, f, None)
-    return rec.build(_march(rhs, z, float(step), n_steps, observe_every, rec))
+    times, states, means, termination = _march(rhs, z, float(step), n_steps, observe_every)
+    return Trajectory(times, states, means, None, None, termination)

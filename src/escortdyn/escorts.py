@@ -78,8 +78,20 @@ class Escort:
             index = None if scalar else i
             message = f"w={float(w[i])!r} outside attainable log range ({lo!r}, {hi!r})"
             raise RangeError(message, index=index)
-        out = self._exp(w)
+        out = self._exp(w) if self.has_closed_log else self._exp_inversion(w, scalar)
         return float(out[0]) if scalar else out
+
+    def _log_accumulator(self):
+        """log_phi summed from log_phi(1) = 0, one integral per gap between successive calls."""
+        last_u, last_log = 1.0, 0.0
+
+        def log_phi(u):
+            nonlocal last_u, last_log
+            last_log += gauss_kronrod(self.reciprocal, last_u, u, tol=EXP_STEP_TOL)
+            last_u = u
+            return last_log
+
+        return log_phi
 
     def _log_quadrature(self, u, scalar):
         """log_phi by quadrature: one integral from 1 for a scalar.
@@ -98,28 +110,21 @@ class Escort:
         below = [i for i in reversed(order) if vals[i] < 1.0]
         out = np.empty(len(vals))
         for side in (above, below):
-            last_u, last_log = 1.0, 0.0
+            log_phi = self._log_accumulator()
             for i in side:
-                last_log += gauss_kronrod(self.reciprocal, last_u, vals[i], tol=EXP_STEP_TOL)
-                last_u = vals[i]
-                out[i] = last_log
+                out[i] = log_phi(vals[i])
         return out
 
-    def _exp(self, w):
-        return np.array([self._invert_log(v) for v in w.tolist()])
-
-    def _invert_log(self, w):
-        # log_phi at each probe is the previous probe's value plus the
-        # integral over the gap between them, starting from log_phi(1) = 0.
-        last_u, last_log = 1.0, 0.0
-
-        def log_phi(u):
-            nonlocal last_u, last_log
-            last_log += gauss_kronrod(self.reciprocal, last_u, u, tol=EXP_STEP_TOL)
-            last_u = u
-            return last_log
-
-        return invert_increasing(log_phi, lambda u: 1.0 / self.weights(u), w, tol=EXP_TOL)
+    def _exp_inversion(self, w, scalar):
+        """exp_phi by inverting log_phi entry by entry; RangeError names the failing entry."""
+        out = np.empty(w.size)
+        for i, v in enumerate(w.tolist()):
+            try:
+                out[i] = invert_increasing(self._log_accumulator(), self.reciprocal, v, tol=EXP_TOL)
+            except RangeError as err:
+                err.index = None if scalar else i
+                raise
+        return out
 
     def reciprocal(self, v: np.ndarray) -> np.ndarray:
         """1/phi at a 1-d array; DomainError (with ``index``) at the first entry

@@ -46,10 +46,16 @@ def _coerce_nonneg(v, name):
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise DomainError(f"{name} must be a 1-d vector of length >= 2")
-    if not np.all(np.isfinite(arr)):
-        raise DomainError(f"{name} must be finite")
-    if np.any(arr < 0.0):
-        i = int(np.argmin(arr))
+    return _require_nonneg(arr, name)
+
+
+def _require_nonneg(arr, name):
+    """``arr``, or DomainError unless its entries are finite and nonnegative, tested
+    by a ``minimum`` (which carries NaN) and a ``maximum`` reduction."""
+    if arr.size and not (np.minimum.reduce(arr, axis=None) >= 0.0 and np.maximum.reduce(arr, axis=None) < math.inf):
+        if not np.isfinite(arr).all():
+            raise DomainError(f"{name} must be finite")
+        i = int(arr.argmin()) % arr.shape[-1]
         raise DomainError(f"{name} has negative coordinate {i}", index=i)
     return arr
 
@@ -113,16 +119,24 @@ def _quadrature_terms(phi: Escort, a, b) -> float:
     return total
 
 
+def _divergences(phi: Escort, a, states, method="auto"):
+    """D_phi(a || row) for every row of the (m, n) array ``states``: both divergences' body."""
+    if method == "auto":
+        method = "closed" if phi.has_closed_log else "quadrature"
+    if method == "closed" and phi.has_closed_log:
+        return _closed_terms(phi, a[None, :], states).sum(axis=1)
+    if method == "quadrature":
+        return np.array([_quadrature_terms(phi, a, row) for row in states])
+    raise ValueError(f"method {method!r} not available for {type(phi).__name__}")
+
+
 def divergence_profile(phi: Escort, x_star, states: np.ndarray, allow_infinite=False) -> np.ndarray:
     """D_phi(x_star || row) for every row of a (m, n) state matrix."""
     a = _coerce_nonneg(x_star, "x_star")
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[1] != a.size:
         raise DimensionError(f"states must have shape (m, {a.size})")
-    if phi.has_closed_log:
-        totals = _closed_terms(phi, a[None, :], states).sum(axis=1)
-    else:
-        totals = np.array([_quadrature_terms(phi, a, row) for row in states])
+    totals = _divergences(phi, a, _require_nonneg(states, "states"))
     if not allow_infinite and np.any(np.isinf(totals)):
         raise DivergenceInfinite("escort divergence is infinite along the profile")
     return totals
@@ -139,14 +153,7 @@ def escort_divergence(phi: Escort, x, y, method: str = "auto") -> float:
     b = _coerce_nonneg(y, "y")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if method == "auto":
-        method = "closed" if phi.has_closed_log else "quadrature"
-    if method == "closed" and phi.has_closed_log:
-        total = float(_closed_terms(phi, a, b).sum())
-    elif method == "quadrature":
-        total = float(_quadrature_terms(phi, a, b))
-    else:
-        raise ValueError(f"method {method!r} not available for {type(phi).__name__}")
+    total = float(_divergences(phi, a, b[None, :], method)[0])
     if math.isinf(total):
         raise DivergenceInfinite("D_phi(x || y) is infinite for these points")
     return total

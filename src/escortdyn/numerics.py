@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .errors import ConvergenceError, QuadratureError, RangeError
+from .errors import ConvergenceError, DomainError, QuadratureError, RangeError
 
 # QUADPACK qk15 (Piessens et al., 1983): the nonnegative Kronrod nodes on
 # [-1, 1], their weights, and the weights of the embedded 7-point Gauss
@@ -108,36 +108,28 @@ def invert_increasing(g, gprime, target, tol):
     ConvergenceError when the iteration stalls.
     """
     def g_bracket(x):
-        # Overflow while probing means the target is unattainable in range.
+        # A probe that overflows or leaves g's domain: the target is unattainable in range.
         try:
             return g(x)
-        except OverflowError:
-            raise RangeError(f"target {target!r} unattainable (overflow at x={x!r})") from None
+        except (OverflowError, DomainError) as err:
+            raise RangeError(f"target {target!r} unattainable at x={x!r} ({err})") from None
 
     lo = hi = BRACKET_START
     glo = ghi = g_bracket(lo)
     if glo < target:
-        for _ in range(2200):
+        while ghi < target:
             lo, glo = hi, ghi
             hi *= 2.0
             if hi > 1e300:
                 raise RangeError(f"target {target!r} not attained below x=1e300")
             ghi = g_bracket(hi)
-            if ghi >= target:
-                break
-        else:
-            raise RangeError(f"failed to bracket target {target!r} from above")
     elif glo > target:
-        for _ in range(2200):
+        while glo > target:
             hi, ghi = lo, glo
             lo *= 0.5
             if lo < 1e-300:
                 raise RangeError(f"target {target!r} not attained above x=1e-300")
             glo = g_bracket(lo)
-            if glo <= target:
-                break
-        else:
-            raise RangeError(f"failed to bracket target {target!r} from below")
     else:
         return BRACKET_START
 

@@ -37,9 +37,31 @@ from escortdyn.suite import X0_CYCLE
 RSP = builtin_landscape("rsp")
 ZERO = FitnessLandscape.custom(lambda x: np.zeros(len(x)), name="zero")
 ALL_ESCORTS = [Identity(), Scaled(2.0), Power(0.5), Power(2.0), Constant(1.0), Exponential()]
+CLOSED_FAMILIES = ALL_ESCORTS + [Power(-1.5)]
 
 
 class TestVectorField:
+    @pytest.mark.parametrize("phi", CLOSED_FAMILIES)
+    def test_shared_weights_field_is_its_custom_form_bit_for_bit(self, phi):
+        # f = A phi(x) on the field's own escort reuses the field's weights;
+        # the same f as a custom landscape evaluates them again
+        A = np.random.default_rng(11).normal(size=(4, 4))
+        shared = FitnessLandscape.matrix_escort(A, phi)
+        custom = FitnessLandscape.custom(lambda x: A @ phi.weights(x), name="A phi(x)")
+        for x in simplex_samples(4, 25, seed=12):
+            assert np.array_equal(vector_field(phi, shared, x), vector_field(phi, custom, x))
+
+    def test_shared_weights_field_checks_the_mean(self):
+        # 1e-200 ** -2 overflows: the fitness is not finite, and neither is the mean
+        phi = Power(-2.0)
+        x = [1e-200, 0.5, 0.5 - 1e-200]
+        for f in (
+            FitnessLandscape.matrix_escort(rsp_matrix(), phi),
+            FitnessLandscape.custom(lambda v: rsp_matrix() @ phi.weights(v)),
+        ):
+            with np.errstate(all="ignore"), pytest.raises(DomainError, match="non-finite fitness"):
+                vector_field(phi, f, x)
+
     @pytest.mark.parametrize("phi", ALL_ESCORTS)
     def test_constant_landscape_is_stationary(self, phi):
         flat = FitnessLandscape.custom(lambda x: np.full(len(x), 3.7), name="flat")

@@ -211,6 +211,8 @@ class TestEscortExp:
             (Constant(1.0), -1.0),
             (Exponential(), math.exp(-1.0)),
             (Exponential(), 5.0),
+            # log_phi = 1 - 1/u < 1: bracketing overflows v * v, a DomainError of phi
+            (Custom(lambda v: v * v, name="v^2"), 1.5),
         ],
     )
     def test_range_error_outside_attainable_values(self, phi, w):
@@ -376,7 +378,7 @@ class TestArrayArguments:
     @pytest.mark.parametrize(
         "phi,w",
         [(Power(2.0), 1.0), (Power(0.5), -2.0), (Constant(1.0), -1.0), (Exponential(), 5.0),
-         (Identity(), math.inf), (Scaled(2.0), math.nan)],
+         (Identity(), math.inf), (Scaled(2.0), math.nan), (Custom(math.exp, name="e^v"), 0.95)],
     )
     def test_exp_of_array_reports_the_bad_index(self, phi, w):
         with pytest.raises(RangeError) as err:

@@ -20,6 +20,7 @@ from escortdyn import (
     sphere_coordinate,
 )
 from escortdyn.analysis import simplex_samples
+from escortdyn.geometry import divergence_profile
 
 NONDECREASING = [Identity(), Scaled(2.0), Power(0.5), Power(2.0), Power(3.0), Constant(1.0), Exponential()]
 
@@ -185,6 +186,30 @@ class TestEscortDivergence:
     def test_shape_mismatch(self):
         with pytest.raises(DimensionError):
             escort_divergence(Identity(), [0.5, 0.5], [0.5, 0.25, 0.25])
+
+
+class TestDivergenceProfile:
+    @pytest.mark.parametrize("row", [[1.5, -0.5], [math.nan, 1.0], [math.inf, 0.0]])
+    def test_rejects_what_escort_divergence_rejects(self, row):
+        with pytest.raises(DomainError):
+            escort_divergence(Identity(), [0.5, 0.5], row)
+        with pytest.raises(DomainError):
+            divergence_profile(Identity(), [0.5, 0.5], [[0.25, 0.75], row], allow_infinite=True)
+
+    @pytest.mark.parametrize("phi", NONDECREASING)
+    def test_each_row_is_escort_divergence_bit_for_bit(self, phi):
+        rng = np.random.default_rng(13)
+        for n in (2, 3, 9, 64):
+            for _ in range(5):
+                x = rng.dirichlet(np.ones(n))
+                x[rng.random(n) < 0.2] = 0.0
+                ys = rng.dirichlet(np.ones(n), size=4)
+                for y, d in zip(ys, divergence_profile(phi, x, ys, allow_infinite=True)):
+                    if math.isinf(d):
+                        with pytest.raises(DivergenceInfinite):
+                            escort_divergence(phi, x, y)
+                    else:
+                        assert escort_divergence(phi, x, y) == d
 
 
 class TestSphereCoordinate:
