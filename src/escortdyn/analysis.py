@@ -109,6 +109,12 @@ def integral_of_motion(phi: Escort, x_star, x) -> float:
     return float(np.sum(ref.coords * phi.log(xs.coords)))
 
 
+def _rel_drift(series) -> float:
+    """max_t |s(t) - s(0)| / |s(0)|: how far a conserved quantity drifts from its start."""
+    series = np.asarray(series)
+    return float(np.max(np.abs(series - series[0])) / abs(series[0]))
+
+
 def monotone_nonincreasing(values, per_step_tol: float = 1e-10) -> bool:
     """True when a sequence never rises by more than per_step_tol per step."""
     v = np.asarray(values, dtype=float)

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import monotone_nonincreasing
+from .analysis import _rel_drift, monotone_nonincreasing
 from .dynamics import BLOCK_ROWS, Trajectory, _check_controls, integrate
 from .errors import ConfigError, DomainError, EscortError
 from .escorts import Constant, Escort, Exponential, Identity, Power, Scaled
@@ -254,15 +254,13 @@ def _json_float(v):
 def summarize(traj: Trajectory) -> dict:
     """The run summary printed to stdout as one JSON object."""
     prods = np.prod(traj.states, axis=1)
-    drift_product = None
-    if prods[0] != 0.0:
-        drift_product = float(np.max(np.abs(prods - prods[0])) / abs(prods[0]))
+    drift_product = _rel_drift(prods) if prods[0] != 0.0 else None
     drift_integral = None
     lyap_monotone = None
     if traj.integral_of_motion is not None:
         iom = traj.integral_of_motion
         if np.all(np.isfinite(iom)) and iom[0] != 0.0:
-            drift_integral = float(np.max(np.abs(iom - iom[0])) / abs(iom[0]))
+            drift_integral = _rel_drift(iom)
     if traj.lyapunov is not None:
         finite = traj.lyapunov[np.isfinite(traj.lyapunov)]
         if finite.size >= 2:  # fewer finite entries are no evidence either way

@@ -169,13 +169,11 @@ def _check_controls(t_end, step, observe_every):
 
 def _diagnostics(phi, ref, states):
     """D_phi(ref || x) and sum_i ref_i log_phi(x_i) at every sample ``x``, BLOCK_ROWS
-    samples at a time; a Custom escort's at once, as its ``log`` accumulates over
-    all of its sorted arguments and would change its bits if split."""
+    samples at a time."""
     m = len(states)
     lyap, integral = np.empty(m), np.empty(m)
-    rows = BLOCK_ROWS if phi.has_closed_log else m
-    for start in range(0, m, rows):
-        block = slice(start, start + rows)
+    for start in range(0, m, BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
         lyap[block] = divergence_profile(phi, ref, states[block], allow_infinite=True)
         integral[block] = _safe_integral(phi, ref, states[block])
     return lyap, integral

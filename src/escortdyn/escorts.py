@@ -61,11 +61,11 @@ class Escort:
             index = None if scalar else i
             raise DomainError(f"log_phi needs u > 0, got {float(u[i])!r}", index=index)
         if method == "quadrature" or (method == "auto" and not self.has_closed_log):
-            out = self._log_quadrature(u, scalar)
-        elif method in ("auto", "closed") and self.has_closed_log:
+            out = self._log_quadrature(u)
+        elif method == "auto":
             out = self._log(u)
         else:
-            raise ValueError(f"method {method!r} not available for {type(self).__name__}")
+            raise ValueError(f"method {method!r} not available: use 'auto' or 'quadrature'")
         return float(out[0]) if scalar else out
 
     def exp(self, w):
@@ -82,7 +82,8 @@ class Escort:
         return float(out[0]) if scalar else out
 
     def _log_accumulator(self):
-        """log_phi summed from log_phi(1) = 0, one integral per gap between successive calls."""
+        """log_phi summed from log_phi(1) = 0, one integral per gap between
+        successive calls: the probes of one ``exp`` inversion."""
         last_u, last_log = 1.0, 0.0
 
         def log_phi(u):
@@ -93,27 +94,9 @@ class Escort:
 
         return log_phi
 
-    def _log_quadrature(self, u, scalar):
-        """log_phi by quadrature: one integral from 1 for a scalar.
-
-        For an array the arguments are sorted and log_phi is accumulated
-        outward from log_phi(1) = 0 on each side of 1, one quadrature per
-        gap between neighbouring arguments, as in ``exp``.
-        """
-        if scalar:
-            u = float(u[0])
-            return [gauss_kronrod(self.reciprocal, 1.0, u, tol=LOG_QUAD_TOL)]
-        # a Python sort: numpy's sort kernels would add their pages to the resident set
-        vals = u.tolist()
-        order = sorted(range(len(vals)), key=vals.__getitem__)
-        above = [i for i in order if vals[i] >= 1.0]
-        below = [i for i in reversed(order) if vals[i] < 1.0]
-        out = np.empty(len(vals))
-        for side in (above, below):
-            log_phi = self._log_accumulator()
-            for i in side:
-                out[i] = log_phi(vals[i])
-        return out
+    def _log_quadrature(self, u):
+        """log_phi by quadrature: one integral from 1 per entry of ``u``."""
+        return np.array([gauss_kronrod(self.reciprocal, 1.0, v, tol=LOG_QUAD_TOL) for v in u.tolist()])
 
     def _exp_inversion(self, w, scalar):
         """exp_phi by inverting log_phi entry by entry; RangeError names the failing entry."""
@@ -146,8 +129,8 @@ class Escort:
     # -- antiderivative of log_phi, used by the escort divergence ----------
 
     def log_antiderivative(self, u):
-        """An antiderivative of log_phi at an array; None if unknown."""
-        return None
+        """An antiderivative of log_phi at an array."""
+        raise NotImplementedError
 
     def antiderivative_zero_limit(self) -> float:
         """Limit of the antiderivative at 0+; +inf when it diverges."""
@@ -426,9 +409,6 @@ class Custom(Escort):
 
     def log_zero_limit(self):
         return math.nan
-
-    def antiderivative_zero_limit(self):
-        raise DomainError("custom escorts need interior points for divergences")
 
 
 # ---------------------------------------------------------------------------

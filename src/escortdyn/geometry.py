@@ -87,8 +87,6 @@ def _closed_terms(phi: Escort, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if np.any(b_zero):
         lb0 = phi.log_zero_limit()
         l0 = phi.antiderivative_zero_limit()
-        if math.isnan(lb0):
-            raise DomainError("divergence undefined at a zero coordinate for this escort")
         if math.isinf(lb0) or math.isinf(l0):
             terms[b_zero] = math.inf
         else:
@@ -121,13 +119,11 @@ def _quadrature_terms(phi: Escort, a, b) -> float:
 
 def _divergences(phi: Escort, a, states, method="auto"):
     """D_phi(a || row) for every row of the (m, n) array ``states``: both divergences' body."""
-    if method == "auto":
-        method = "closed" if phi.has_closed_log else "quadrature"
-    if method == "closed" and phi.has_closed_log:
-        return _closed_terms(phi, a[None, :], states).sum(axis=1)
-    if method == "quadrature":
+    if method == "quadrature" or (method == "auto" and not phi.has_closed_log):
         return np.array([_quadrature_terms(phi, a, row) for row in states])
-    raise ValueError(f"method {method!r} not available for {type(phi).__name__}")
+    if method == "auto":
+        return _closed_terms(phi, a[None, :], states).sum(axis=1)
+    raise ValueError(f"method {method!r} not available: use 'auto' or 'quadrature'")
 
 
 def divergence_profile(phi: Escort, x_star, states: np.ndarray, allow_infinite=False) -> np.ndarray:

@@ -104,9 +104,12 @@ def invert_increasing(g, gprime, target, tol):
     direction, then runs Newton steps safeguarded by bisection. ``gprime``
     must return the (positive) derivative of ``g``.
 
-    Raises RangeError when no bracket exists within floating-point range,
-    ConvergenceError when the iteration stalls.
+    Raises RangeError for a NaN target or when no bracket exists within
+    floating-point range, ConvergenceError when the iteration stalls.
     """
+    if math.isnan(target):
+        raise RangeError(f"target {target!r} is not a number")
+
     def g_bracket(x):
         # A probe that overflows or leaves g's domain: the target is unattainable in range.
         try:

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .analysis import fisher_rate, simplex_samples
+from .analysis import _rel_drift, fisher_rate, simplex_samples
 from .dynamics import (
     Trajectory,
     _make_field,
@@ -159,11 +159,6 @@ def clear_cache():
 # ---------------------------------------------------------------------------
 # Criteria
 # ---------------------------------------------------------------------------
-
-
-def _rel_drift(series):
-    series = np.asarray(series)
-    return float(np.max(np.abs(series - series[0])) / abs(series[0]))
 
 
 def _c01_rsp_product(tol, tr):

@@ -382,7 +382,8 @@ class TestDiagnosticBlocks:
 
     @pytest.mark.parametrize(
         "phi",
-        [Identity(), Scaled(2.0), Power(0.5), Power(2.0), Power(-1.0), Constant(1.0), Exponential()],
+        [Identity(), Scaled(2.0), Power(0.5), Power(2.0), Power(-1.0), Constant(1.0), Exponential(),
+         Custom(lambda v: v + v * v, name="v+v^2")],  # the last by quadrature, in the same blocks
     )
     def test_closed_family_equals_the_whole_trajectory(self, phi):
         # three blocks, the last one partial
@@ -395,12 +396,6 @@ class TestDiagnosticBlocks:
         for start in range(0, len(tr), BLOCK_ROWS):
             assert np.isposinf(tr.lyapunov[start : start + BLOCK_ROWS]).all()
             assert np.isneginf(tr.integral_of_motion[start : start + BLOCK_ROWS]).all()
-
-    def test_custom_takes_one_block(self):
-        # Custom's log accumulates over all of its sorted arguments
-        phi = Custom(lambda v: v + v * v, name="v+v^2")
-        tr, ref = self._run(phi, [0.5, 0.3, 0.2], BLOCK_ROWS + 17)
-        self._assert_whole_trajectory(phi, tr, ref)
 
     def test_peak_memory_is_bounded_by_the_states(self):
         n = 30
@@ -471,9 +466,11 @@ class TestReferenceRK4:
             (Scaled(2.0), RSP, [0.6, 0.3, 0.1]),
             (Power(1.9), FitnessLandscape.matrix_escort(_antisymmetric(30, 3), Power(1.9)),
              simplex_samples(30, 1, seed=3)[0].coords),
+            # a sum off 1 within SUM_TOL: the first step renormalizes
+            (Identity(), RSP, [0.5 + 5e-10, 0.3, 0.2]),
         ],
         ids=["identity-rsp", "power2-escort-form", "exponential-exp_decay", "scaled2-linear",
-             "n30-power1.9-escort-form"],
+             "n30-power1.9-escort-form", "identity-rsp-off-sum"],
     )
     def test_integrate_equals_the_reference_bit_for_bit(self, phi, f, x0):
         tr = integrate(phi, f, x0, t_end=1.0, step=1e-2)
@@ -529,6 +526,14 @@ class TestFailurePathWarnings:
             with pytest.raises(DomainError) as err:
                 integrate(Power(-1.0), RSP, [0.5, 0.5, 0.0], t_end=1.0, step=0.01)
         assert err.value.index == 2
+
+    def test_overflowing_step_ends_the_run(self):
+        # the RK4 sum of the first step's stages overflows: a non-finite state ends the run
+        land = FitnessLandscape.custom(lambda x: np.array([1e308, -1e308, 0.0]), name="huge")
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            tr = integrate(Constant(1.0), land, [0.4, 0.3, 0.3], t_end=1.0, step=1e-3)
+        assert tr.termination == Termination("step_failure", time=0.001)
+        assert tr.states.tolist() == [[0.4, 0.3, 0.3]]
 
     def test_mixed_infinite_fitness_warns_then_ends_the_run(self):
         land = _failing_at_one_state([np.inf, -np.inf, 0.0])

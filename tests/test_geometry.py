@@ -85,6 +85,8 @@ class TestEscortDivergence:
             closed = escort_divergence(Identity(), x, y)
             quad = escort_divergence(Identity(), x, y, method="quadrature")
             assert abs(closed - quad) <= 1e-7
+            # Power's near-one branch is the identity's closed form
+            assert escort_divergence(Power(1 + 1e-12), x, y) == closed
 
     @pytest.mark.parametrize("phi", [Power(0.5), Power(2.0), Exponential(), Constant(2.0)])
     def test_family_closed_forms_match_quadrature(self, phi):
@@ -96,11 +98,12 @@ class TestEscortDivergence:
             assert abs(closed - quad) <= 1e-7
 
     def test_closed_method_rejected_without_closed_form(self):
-        phi = Custom(lambda v: v + v * v, name="v+v^2")
-        with pytest.raises(ValueError, match="not available"):
-            escort_divergence(phi, [0.5, 0.5], [0.25, 0.75], method="closed")
-        with pytest.raises(ValueError, match="not available"):
-            phi.log(0.5, method="closed")
+        # "auto" takes the closed form where one exists: no escort accepts "closed"
+        for phi in (Custom(lambda v: v + v * v, name="v+v^2"), Identity()):
+            with pytest.raises(ValueError, match="not available"):
+                escort_divergence(phi, [0.5, 0.5], [0.25, 0.75], method="closed")
+            with pytest.raises(ValueError, match="not available"):
+                phi.log(0.5, method="closed")
         with pytest.raises(ValueError):
             escort_divergence(Identity(), [0.5, 0.5], [0.25, 0.75], method="simpson")
 
@@ -174,6 +177,9 @@ class TestEscortDivergence:
         # mass on a coordinate the second argument lacks: infinite
         with pytest.raises(DivergenceInfinite):
             escort_divergence(Identity(), [0.5, 0.5], [1.0, 0.0])
+        # the quadrature reference integrates between positive coordinates only
+        with pytest.raises(DomainError, match="strictly positive"):
+            escort_divergence(Identity(), [1.0, 0.0], [0.5, 0.5], method="quadrature")
 
     def test_power_above_one_infinite_at_boundary(self):
         with pytest.raises(DivergenceInfinite):
