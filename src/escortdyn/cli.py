@@ -149,7 +149,10 @@ def _number(value, name) -> float:
     """A JSON number (int or float, not bool) as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer literal beyond float range
+        raise ConfigError(f"{name} is too large for a float") from None
 
 
 def _integer(value, name) -> int:
@@ -286,7 +289,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}")
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # a JSONDecodeError, or bytes that are not UTF-8 text
         raise ConfigError(f"config is not valid JSON: {err}")
 
 

@@ -182,13 +182,11 @@ def _diagnostics(phi, ref, states):
 def _safe_integral(phi, ref, states):
     """sum_i ref_i log_phi(x_i) per sample, with -inf markers at the boundary.
 
-    One ``log`` call over every positive coordinate; a zero coordinate
-    contributes ref_i times ``log_zero_limit()``. The terms are added left
-    to right.
+    One ``_log`` call over the block; a zero coordinate takes the limit
+    log_phi(0+). The terms are added left to right.
     """
-    positive = states > 0.0
-    logs = np.full(states.shape, phi.log_zero_limit())
-    logs[positive] = phi.log(states[positive])
+    with np.errstate(divide="ignore"):
+        logs = phi._log(states)
     total = np.zeros(states.shape[0])
     for r, col in zip(ref, logs.T):
         if r != 0.0:

@@ -7,7 +7,8 @@ escort distribution, and its reciprocal integrates to a deformed logarithm
     log_phi(u) = integral_1^u dv / phi(v)
 
 whose inverse exp_phi generalizes the exponential. Closed forms are
-dispatched per family; the Custom family falls back to adaptive
+dispatched per family, and their limits at u = 0 are the values on the
+boundary of the simplex; the Custom family falls back to adaptive
 Gauss-Kronrod quadrature and safeguarded Newton inversion.
 """
 
@@ -38,8 +39,9 @@ _POSITIVITY_GRID = np.arange(1, 1001) / 1001.0
 class Escort:
     """Base class for scalar escort functions.
 
-    A closed family defines ``_log`` and ``_exp`` once, on 1-d arrays; the
-    others integrate log_phi by quadrature and invert it by Newton steps.
+    A closed family defines ``_log`` and ``_exp`` once, on arrays, with their
+    limits at u = 0; the others integrate log_phi by quadrature and invert it
+    by Newton steps.
     """
 
     requires_positive = False  # True when phi is undefined at u = 0
@@ -60,10 +62,10 @@ class Escort:
             i = int((np.isfinite(u) & (u > 0.0)).argmin())
             index = None if scalar else i
             raise DomainError(f"log_phi needs u > 0, got {float(u[i])!r}", index=index)
-        if method == "quadrature" or (method == "auto" and not self.has_closed_log):
-            out = self._log_quadrature(u)
-        elif method == "auto":
+        if method == "auto":
             out = self._log(u)
+        elif method == "quadrature":
+            out = Escort._log(self, u)
         else:
             raise ValueError(f"method {method!r} not available: use 'auto' or 'quadrature'")
         return float(out[0]) if scalar else out
@@ -94,9 +96,10 @@ class Escort:
 
         return log_phi
 
-    def _log_quadrature(self, u):
-        """log_phi by quadrature: one integral from 1 per entry of ``u``."""
-        return np.array([gauss_kronrod(self.reciprocal, 1.0, v, tol=LOG_QUAD_TOL) for v in u.tolist()])
+    def _log(self, u):
+        """log_phi by quadrature: one integral from 1 per entry of the array ``u``."""
+        logs = [gauss_kronrod(self.reciprocal, 1.0, v, tol=LOG_QUAD_TOL) for v in u.ravel().tolist()]
+        return np.array(logs).reshape(u.shape)
 
     def _exp_inversion(self, w, scalar):
         """exp_phi by inverting log_phi entry by entry; RangeError names the failing entry."""
@@ -122,18 +125,10 @@ class Escort:
         """Open interval of values attained by log_phi on u > 0."""
         return (-math.inf, math.inf)
 
-    def log_zero_limit(self) -> float:
-        """lim_{u -> 0+} log_phi(u); -inf when the integral diverges."""
-        return -math.inf
-
     # -- antiderivative of log_phi, used by the escort divergence ----------
 
     def log_antiderivative(self, u):
-        """An antiderivative of log_phi at an array."""
-        raise NotImplementedError
-
-    def antiderivative_zero_limit(self) -> float:
-        """Limit of the antiderivative at 0+; +inf when it diverges."""
+        """An antiderivative of log_phi at an array, with its limit at u = 0."""
         raise NotImplementedError
 
     # -- simplex-to-sphere coordinate change --------------------------------
@@ -165,6 +160,11 @@ def _inside(u, lo, hi):
     return not u.size or (lo < np.minimum.reduce(u, axis=None) and np.maximum.reduce(u, axis=None) < hi)
 
 
+def _xlogx(u):
+    """u log u at an array, with its limit 0 at u = 0."""
+    return u * np.log(np.where(u > 0.0, u, 1.0))
+
+
 def _require_nonnegative(x):
     """Raise DomainError at the most negative entry of the float array ``x``.
 
@@ -191,10 +191,7 @@ class Identity(Escort):
         return np.exp(w)
 
     def log_antiderivative(self, u):
-        return u * np.log(u) - u
-
-    def antiderivative_zero_limit(self):
-        return 0.0
+        return _xlogx(u) - u
 
     def sphere_map(self, u):
         return 2.0 * np.sqrt(u)
@@ -222,10 +219,7 @@ class Scaled(Escort):
         return np.exp(self.beta * w)
 
     def log_antiderivative(self, u):
-        return (u * np.log(u) - u) / self.beta
-
-    def antiderivative_zero_limit(self):
-        return 0.0
+        return (_xlogx(u) - u) / self.beta
 
     def sphere_map(self, u):
         return 2.0 * np.sqrt(u / self.beta)
@@ -277,23 +271,13 @@ class Power(Escort):
             return (-1.0 / e, math.inf)
         return (-math.inf, -1.0 / e)  # q > 1
 
-    def log_zero_limit(self):
-        if self.q < 1.0 and not self._near_one:
-            return -1.0 / (1.0 - self.q)
-        return -math.inf
-
     def log_antiderivative(self, u):
         if self._near_one:
-            return u * np.log(u) - u
+            return _xlogx(u) - u
         if abs(self.q - 2.0) < Q_DEGENERATE:
             return u - np.log(u)
         e = 1.0 - self.q
         return (u ** (2.0 - self.q) / (2.0 - self.q) - u) / e
-
-    def antiderivative_zero_limit(self):
-        if self.q < 2.0 or self._near_one:
-            return 0.0
-        return math.inf
 
     def sphere_map(self, u):
         e = 1.0 - 0.5 * self.q
@@ -326,14 +310,8 @@ class Constant(Escort):
     def log_range(self):
         return (-1.0 / self.c, math.inf)
 
-    def log_zero_limit(self):
-        return -1.0 / self.c
-
     def log_antiderivative(self, u):
         return (0.5 * u * u - u) / self.c
-
-    def antiderivative_zero_limit(self):
-        return 0.0
 
     def sphere_map(self, u):
         return u / math.sqrt(self.c)
@@ -356,14 +334,8 @@ class Exponential(Escort):
         # log_phi on u > 0 covers (1/e - 1, 1/e).
         return (math.exp(-1.0) - 1.0, math.exp(-1.0))
 
-    def log_zero_limit(self):
-        return math.exp(-1.0) - 1.0
-
     def log_antiderivative(self, u):
         return math.exp(-1.0) * u + np.exp(-u)
-
-    def antiderivative_zero_limit(self):
-        return 1.0
 
     def sphere_map(self, u):
         return 2.0 * (1.0 - np.exp(-0.5 * u))
@@ -406,9 +378,6 @@ class Custom(Escort):
             message = f"custom escort not positive and finite at u={u!r} ({p!r})"
             raise DomainError(message, index=None if x.ndim == 0 else i)
         return w
-
-    def log_zero_limit(self):
-        return math.nan
 
 
 # ---------------------------------------------------------------------------

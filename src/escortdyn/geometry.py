@@ -61,40 +61,15 @@ def _require_nonneg(arr, name):
 
 
 def _closed_terms(phi: Escort, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Coordinatewise Bregman gaps via the family's closed forms."""
-    terms = np.empty(np.broadcast(a, b).shape)
-    a, b = np.broadcast_arrays(a, b)
-
-    interior = (a > 0.0) & (b > 0.0)
-    if np.any(interior):
-        ai, bi = a[interior], b[interior]
-        terms[interior] = (
-            phi.log_antiderivative(ai)
-            - phi.log_antiderivative(bi)
-            - (ai - bi) * phi.log(bi)
-        )
-
-    a_zero = (a == 0.0) & (b > 0.0)
-    if np.any(a_zero):
-        l0 = phi.antiderivative_zero_limit()
-        if math.isinf(l0):
-            terms[a_zero] = math.inf
-        else:
-            bz = b[a_zero]
-            terms[a_zero] = l0 - phi.log_antiderivative(bz) + bz * phi.log(bz)
-
-    b_zero = (b == 0.0) & (a > 0.0)
-    if np.any(b_zero):
-        lb0 = phi.log_zero_limit()
-        l0 = phi.antiderivative_zero_limit()
-        if math.isinf(lb0) or math.isinf(l0):
-            terms[b_zero] = math.inf
-        else:
-            az = a[b_zero]
-            terms[b_zero] = phi.log_antiderivative(az) - l0 - az * lb0
-
-    terms[(a == 0.0) & (b == 0.0)] = 0.0
-    if np.any(np.isnan(terms)):
+    """Coordinatewise Bregman gaps via the family's closed forms, whose limits
+    at 0 give the gaps on the boundary."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = phi.log_antiderivative(a) - phi.log_antiderivative(b) - (a - b) * phi._log(b)
+    # no gap, also at a = b = 0, where L(0) or log_phi(0) may be infinite
+    terms[a == b] = 0.0
+    # at b = 0 an infinite L(0) meets -a log_phi(0) = +inf (Power with q >= 2)
+    terms[np.isnan(terms) & (b == 0.0)] = math.inf
+    if np.isnan(terms).any():
         raise DomainError("escort divergence undefined for the given points")
     return terms
 

@@ -42,6 +42,10 @@ _GAUSS[1:8:2] = _WG
 _GAUSS[9:15:2] = _WG[2::-1]
 
 QUAD_DEPTH = 50  # bisection levels before gauss_kronrod gives up
+# A panel whose two estimates agree to this many units of its own integral
+# is converged to rounding, as in QUADPACK (Piessens et al., 1983): near a
+# pole the halved panel tolerances fall below it.
+ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
 BRACKET_START = 1.0  # invert_increasing brackets its root outward from here
 NEWTON_STEPS = 100  # safeguarded Newton steps before invert_increasing gives up
 
@@ -50,8 +54,9 @@ def gauss_kronrod(f, a, b, tol=1e-10):
     """Integrate ``f`` over ``[a, b]`` with adaptive Gauss-Kronrod 7/15 panels.
 
     A panel is accepted when its 15-point Kronrod and 7-point Gauss
-    estimates differ by at most its tolerance; otherwise it is bisected, at
-    most QUAD_DEPTH times, and each half gets half the tolerance.
+    estimates differ by at most its tolerance, or by at most ROUNDOFF_FLOOR
+    times the Kronrod estimate; otherwise it is bisected, at most
+    QUAD_DEPTH times, and each half gets half the tolerance.
 
     Parameters
     ----------
@@ -85,7 +90,8 @@ def gauss_kronrod(f, a, b, tol=1e-10):
         if not np.isfinite(fx).all():
             raise QuadratureError(f"non-finite integrand on [{lo}, {hi}]")
         kronrod = half * float(_KRONROD @ fx)
-        if abs(kronrod - half * float(_GAUSS @ fx)) <= panel_tol:
+        error = abs(kronrod - half * float(_GAUSS @ fx))
+        if error <= panel_tol or error <= ROUNDOFF_FLOOR * abs(kronrod):
             total += kronrod
             continue
         if depth <= 0:

@@ -68,6 +68,14 @@ COERCED_VALUES = [
     {"output": {"path": "out/run.csv", "format": "csv", "mode": "w"}},
     {"x0": ["0.5", 0.3, 0.2]},
 ]
+# JSON integer literals beyond float range, in each place a config holds a number
+OVERSIZED_INTEGERS = [
+    {"t_end": 10**400},
+    {"step": 10**400},
+    {"x0": [10**400, 0.3, 0.2]},
+    {"escort": {"family": "power", "q": 10**400}},
+    {"landscape": {"matrix": [[10**400, 0.0, 0.0], [0.0] * 3, [0.0] * 3]}},
+]
 
 
 def read_csv(path):
@@ -120,6 +128,7 @@ class TestRunConfig:
             {"t_end": 1e308, "step": 0.001},
             *BAD_MATRICES,
             *COERCED_VALUES,
+            *OVERSIZED_INTEGERS,
             {"t_end": 1e300, "step": 0.001},  # finite, but more than 2**53 steps
         ],
     )
@@ -278,6 +287,16 @@ class TestRunCommand:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
         assert "config error: cannot write output" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("patch", [None] + OVERSIZED_INTEGERS)  # None: a file that is not UTF-8
+    def test_unreadable_numbers_and_text_exit_2(self, tmp_path, command, patch, capsys):
+        path, _ = base_config(tmp_path, **{"escort": {"family": "power", "q": 1.5}, **(patch or {})})
+        if patch is None:
+            path.write_bytes(b"\xff\xfe{}")
+        args = ["--param", "q", "--values", "1,2"] if command == "sweep" else []
+        assert main([command, "--config", str(path), *args]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_missing_file_exit_2(self, tmp_path):
         proc = run_cli("run", "--config", "missing.json", cwd=tmp_path)

@@ -356,7 +356,7 @@ class TestRecordedDiagnostics:
         phi = Power(0.5)
         tr = integrate(phi, ZERO, [0.5, 0.5, 0.0], t_end=0.1, step=1e-2, ref=ref)
         third = ref.coords[0]
-        want = third * phi.log(0.5) + third * phi.log(0.5) + third * phi.log_zero_limit()
+        want = third * phi.log(0.5) + third * phi.log(0.5) + third * -2.0
         assert np.all(np.isfinite(tr.integral_of_motion))
         np.testing.assert_allclose(tr.integral_of_motion, want, rtol=1e-15, atol=0.0)
 

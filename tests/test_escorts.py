@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from escortdyn import (
     escort_log,
     escort_mean_fitness,
     escort_variance,
+    integrate,
     partition_function,
 )
+from escortdyn.geometry import divergence_profile
 from escortdyn.numerics import gauss_kronrod, invert_increasing
 
 SCALAR_FAMILIES = [
@@ -310,6 +313,15 @@ class TestCustomQuadrature:
             w = closed_log(u)
             assert abs(escort_exp(phi, w) - closed_exp(w)) <= 1e-8 * max(1.0, u)
 
+    def test_log_reaches_the_pole_of_the_reciprocal(self):
+        # 1/phi ~ 1/v near 0: the panel tolerances halve below rounding, where the
+        # roundoff floor accepts them; at 1e-300 the depth limit still ends it
+        phi = Custom(lambda v: v + v * v, name="v+v^2")
+        for u in (1e-6, 1e-9, 1e-12):
+            assert abs(phi.log(u) - math.log(2.0 * u / (1.0 + u))) <= 1e-10
+        with pytest.raises(QuadratureError, match="maximum depth"):
+            phi.log(1e-300)
+
     def test_log_evaluation_count(self):
         phi, count = counting_custom(lambda v: v + v * v)
         args = np.linspace(0.05, 5.0, 100)
@@ -345,20 +357,13 @@ class TestArrayArguments:
         "phi", SCALAR_FAMILIES + [Power(1 + 1e-12), Power(0.0), Power(-1.5), custom_quadratic()]
     )
     def test_log_of_array_equals_float_logs(self, phi):
-        args = self.ARGS
-        if not phi.has_closed_log:
-            # the quadrature's halved panel tolerances fall below rounding near 1e-6,
-            # so there a float and an array call fail alike; compare the rest
-            with pytest.raises(QuadratureError):
-                phi.log(1e-6)
-            with pytest.raises(QuadratureError):
-                phi.log(args)
-            args = args[args != 1e-6]
-        got = phi.log(args)
-        assert isinstance(got, np.ndarray) and got.shape == args.shape
-        want = [phi.log(float(u)) for u in args]
+        got = phi.log(self.ARGS)
+        assert isinstance(got, np.ndarray) and got.shape == self.ARGS.shape
+        want = [phi.log(float(u)) for u in self.ARGS]
         assert all(type(v) is float for v in want)
         assert got.tolist() == want
+        if isinstance(phi, Custom):  # near the pole of 1/phi the panels meet the roundoff floor
+            assert abs(phi.log(1e-6) - math.log(2e-6 / (1.0 + 1e-6))) <= 1e-10
 
     @pytest.mark.parametrize("phi", SCALAR_FAMILIES + [Power(1 + 1e-12), Power(0.0), Power(-1.5)])
     def test_exp_of_array_equals_float_exps(self, phi):
@@ -404,6 +409,44 @@ class TestArrayArguments:
         got = phi.exp(ws)
         assert got.tolist() == [phi.exp(float(w)) for w in ws]
         np.testing.assert_allclose(got, np.exp(ws) / (2.0 - np.exp(ws)), rtol=1e-9)
+
+
+class TestBoundaryValues:
+    """The closed forms are their own values at u = 0: log_range is _log at 0 and
+    inf, the antiderivative takes its limit, and the divergence and integral of
+    motion on a face come from them without a floating-point warning."""
+
+    FAMILIES = [Identity(), Scaled(2.0), Constant(1.5), Exponential()] + [
+        Power(q) for q in (-1.0, 0.0, 0.5, 1.0, 1 + 1e-12, 1.5, 2.0, 2 + 1e-12, 3.0)
+    ]
+
+    @staticmethod
+    def antiderivative_at_zero(phi):
+        if isinstance(phi, Exponential):
+            return 1.0
+        if isinstance(phi, Power) and phi.q >= 2.0:
+            return math.inf
+        return 0.0
+
+    @pytest.mark.parametrize("phi", FAMILIES)
+    def test_closed_forms_at_zero(self, phi):
+        with np.errstate(divide="ignore"):  # a pole at 0 is an infinite value, not an error
+            assert phi.log_antiderivative(np.zeros(1)).tolist() == [self.antiderivative_at_zero(phi)]
+            ends = phi._log(np.array([0.0, math.inf]))
+        assert np.array(phi.log_range()).tobytes() == ends.tobytes()
+
+    @pytest.mark.parametrize("phi", FAMILIES)
+    def test_face_diagnostics_emit_no_warning(self, phi):
+        face = np.array([0.0, 0.4, 0.6])
+        states = np.array([[0.5, 0.5, 0.0], [0.0, 0.4, 0.6], [0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
+        x0 = [0.2, 0.3, 0.5] if phi.requires_positive else [0.5, 0.5, 0.0]
+        zero = FitnessLandscape.custom(lambda x: np.zeros(len(x)), name="zero")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for ref in (face, np.full(3, 1.0 / 3.0)):
+                divergence_profile(phi, ref, states, allow_infinite=True)
+                tr = integrate(phi, zero, x0, t_end=0.01, step=1e-3, ref=ref)
+                assert tr.termination.ok
 
 
 class TestWeights:
