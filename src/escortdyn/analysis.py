@@ -8,8 +8,8 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .escorts import Escort, escort_variance, partition_function
 from .landscapes import FitnessLandscape
-from .simplex import SimplexPoint, as_simplex, random_interior
-from .dynamics import vector_field
+from .simplex import SimplexPoint, _as_interior, as_simplex, random_interior
+from .dynamics import _safe_integral, vector_field
 
 PASSED_SAMPLED = "passed_sampled"
 FAILED_AT = "failed_at"
@@ -55,9 +55,7 @@ def ess_check_sampled(
     States are drawn Dirichlet(1, ..., 1), optionally rejected to the ball
     ||x - x*|| <= radius. This is sampled evidence, not a certificate.
     """
-    xs = as_simplex(x_star)
-    if not xs.interior:
-        raise DomainError("ESS candidate must be interior")
+    xs = _as_interior(x_star, "an ESS candidate")
     if num_samples < 1:
         raise ConfigError("num_samples must be >= 1")
     rng = np.random.default_rng(seed)
@@ -93,20 +91,19 @@ def fisher_rate(phi: Escort, f: FitnessLandscape, x) -> float:
     """
     if f.potential is None:
         raise ConfigError("fisher_rate needs a landscape with a declared potential")
-    xs = as_simplex(x)
-    if not xs.interior:
-        raise DomainError("fisher_rate needs an interior point")
+    xs = _as_interior(x, "fisher_rate")
     fx = f(xs.coords)
     return partition_function(phi, xs) * escort_variance(phi, xs, fx)
 
 
 def integral_of_motion(phi: Escort, x_star, x) -> float:
-    """sum_i x*_i log_phi(x_i), conserved for zero-escort-mean cyclic games."""
+    """sum_i x*_i log_phi(x_i), conserved for zero-escort-mean cyclic games: the
+    value of a trajectory's ``integral_of_motion`` column at ``x``, also on a face."""
     ref = as_simplex(x_star)
     xs = as_simplex(x)
     if ref.n != xs.n:
         raise DomainError(f"dimension mismatch: {ref.n} vs {xs.n}")
-    return float(np.sum(ref.coords * phi.log(xs.coords)))
+    return float(_safe_integral(phi, ref.coords, xs.coords[None, :])[0])
 
 
 def _rel_drift(series) -> float:

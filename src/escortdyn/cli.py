@@ -289,7 +289,7 @@ def _read_json(path: str):
             return json.load(fh)
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}")
-    except ValueError as err:  # a JSONDecodeError, or bytes that are not UTF-8 text
+    except (ValueError, RecursionError) as err:  # bad JSON, text that is not UTF-8, too deep a nesting
         raise ConfigError(f"config is not valid JSON: {err}")
 
 
@@ -415,9 +415,7 @@ def cmd_paper_suite(args) -> int:
         if len(set(names)) != len(names):
             print(f"config error: --only names must be distinct, got {args.only!r}", file=sys.stderr)
             return EXIT_CONFIG
-    selected = suite.select(names)
-    plan = suite.integrate_runs(suite.plan(selected))
-    results = [c.run() for c in selected]
+    results, plan = suite.run_suite(names)
     print(suite.format_report(results))
     print(plan)
     return EXIT_OK if all(r.passed for r in results) else EXIT_SUITE_FAIL

@@ -20,7 +20,7 @@ from .errors import ConfigError, DimensionError, DomainError, PositivityError
 from .escorts import Escort
 from .geometry import divergence_profile
 from .landscapes import FitnessLandscape
-from .simplex import SimplexPoint, as_simplex
+from .simplex import SimplexPoint, _as_interior, as_simplex
 
 DEFAULT_STEP = 1e-3
 DRIFT_TOL = 1e-13  # renormalize when |sum x - 1| exceeds this
@@ -99,7 +99,13 @@ def _make_field(phi: Escort, f: FitnessLandscape):
 
     def field(x):
         w = phi.weights(x)
-        fx = f.matrix @ w if shared else f.evaluate(x)
+        if not shared:
+            fx = f.evaluate(x)
+        else:
+            try:
+                fx = f.matrix @ w
+            except ValueError:  # a matrix of another size than x, for which evaluate raises DimensionError
+                fx = f.evaluate(x)
         m = _escort_mean(f, w, fx)
         field.sample = (x, m)
         return w * (fx - m)
@@ -134,8 +140,7 @@ def vector_field(phi: Escort, f: FitnessLandscape, x) -> np.ndarray:
 def escort_mean_fitness(phi: Escort, f: FitnessLandscape, x) -> float:
     """<f(x)>_phi at a state."""
     xs = as_simplex(x)
-    w = phi.weights(xs.coords)
-    return float(w @ f(xs.coords) / w.sum())
+    return float(_escort_mean(f, phi.weights(xs.coords), f.evaluate(xs.coords)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,9 +343,7 @@ def integrate_formal_solution(
     as they are (their sum drifts from 1 by the integration error).
     """
     n_steps, observe_every = _check_controls(t_end, step, observe_every)
-    xs = as_simplex(x0)
-    if not xs.interior:
-        raise DomainError("the formal solution needs an interior initial state")
+    xs = _as_interior(x0, "the formal solution")
     n = xs.n
 
     def rhs(z):

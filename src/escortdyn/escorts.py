@@ -277,6 +277,7 @@ class Power(Escort):
         if abs(self.q - 2.0) < Q_DEGENERATE:
             return u - np.log(u)
         e = 1.0 - self.q
+        u = np.asarray(u, dtype=float)  # so that 0.0 ** (2 - q) gives inf, not ZeroDivisionError
         return (u ** (2.0 - self.q) / (2.0 - self.q) - u) / e
 
     def sphere_map(self, u):
@@ -406,12 +407,5 @@ def escort_variance(phi: Escort, x, f) -> float:
     return float(w @ (d * d) / z)
 
 
-def escort_log(phi: Escort, u, method: str = "auto"):
-    """The deformed logarithm log_phi(u) = integral_1^u dv/phi(v), at a float or a 1-d array."""
-    return phi.log(u, method=method)
-
-
-def escort_exp(phi: Escort, w):
-    """The inverse of log_phi at a float or a 1-d array, exact to 1e-10 in
-    log_phi(exp_phi(w)) = w."""
-    return phi.exp(w)
+escort_log = Escort.log
+escort_exp = Escort.exp

@@ -7,17 +7,14 @@ import numpy as np
 from .errors import DimensionError, DivergenceInfinite, DomainError
 from .escorts import Escort
 from .numerics import gauss_kronrod
-from .simplex import SimplexPoint, as_simplex
+from .simplex import SimplexPoint, _as_interior, _require_nonneg, as_simplex
 
 DIVERGENCE_QUAD_TOL = 1e-9  # quadrature tolerance, per coordinate
 
 
 def escort_metric(phi: Escort, x) -> np.ndarray:
     """The diagonal 1/phi(x_i) of the escort metric at an interior x, as a read-only array."""
-    xs = as_simplex(x)
-    if not xs.interior:
-        raise DomainError("escort metric needs an interior point")
-    g = phi.reciprocal(xs.coords)
+    g = phi.reciprocal(_as_interior(x, "the escort metric").coords)
     g.flags.writeable = False
     return g
 
@@ -47,17 +44,6 @@ def _coerce_nonneg(v, name):
     if arr.ndim != 1 or arr.size < 2:
         raise DomainError(f"{name} must be a 1-d vector of length >= 2")
     return _require_nonneg(arr, name)
-
-
-def _require_nonneg(arr, name):
-    """``arr``, or DomainError unless its entries are finite and nonnegative, tested
-    by a ``minimum`` (which carries NaN) and a ``maximum`` reduction."""
-    if arr.size and not (np.minimum.reduce(arr, axis=None) >= 0.0 and np.maximum.reduce(arr, axis=None) < math.inf):
-        if not np.isfinite(arr).all():
-            raise DomainError(f"{name} must be finite")
-        i = int(arr.argmin()) % arr.shape[-1]
-        raise DomainError(f"{name} has negative coordinate {i}", index=i)
-    return arr
 
 
 def _closed_terms(phi: Escort, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -141,10 +127,7 @@ def sphere_coordinate(phi: Escort, x) -> np.ndarray:
     Anchored at 0 when the integral converges there (identity escort gives
     2*sqrt(x), the radius-2 sphere chart), otherwise at 1.
     """
-    xs = as_simplex(x)
-    if not xs.interior:
-        raise DomainError("sphere coordinates need an interior point")
-    return phi.sphere_map(xs.coords)
+    return phi.sphere_map(_as_interior(x, "sphere_coordinate").coords)
 
 
 def geodesic_distance_identity(p, q) -> float:

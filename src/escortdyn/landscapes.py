@@ -59,14 +59,15 @@ class FitnessLandscape:
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """f(x) without the finiteness check; DimensionError when its shape is not x's."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "matrix":
-            out = self.matrix @ x
-        elif self.kind == "matrix_escort":
-            out = self.matrix @ self.escort.weights(x)
-        elif self.kind == "matrix_escort_log":
-            out = self.matrix @ self.escort.log(x)
-        else:
+        if self.matrix is None:
             out = np.asarray(self.fn(x), dtype=float)
+        else:
+            v = (x if self.kind == "matrix"
+                 else self.escort.weights(x) if self.kind == "matrix_escort" else self.escort.log(x))
+            try:
+                out = self.matrix @ v
+            except ValueError:  # numpy's operand mismatch
+                raise DimensionError(f"matrix of shape {self.matrix.shape} for state shape {x.shape}") from None
         if out.shape != x.shape:
             raise DimensionError(f"landscape returned shape {out.shape} for state shape {x.shape}")
         return out

@@ -1,5 +1,7 @@
 """Points of the probability simplex and validation helpers."""
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
@@ -22,11 +24,7 @@ class SimplexPoint:
         arr = np.array(coords, dtype=float)
         if arr.ndim != 1 or arr.size < 2:
             raise DomainError("simplex point needs a 1-d vector of length >= 2")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("simplex coordinates must be finite")
-        if np.any(arr < 0.0):
-            i = int(np.argmin(arr))
-            raise DomainError(f"coordinate {i} is negative ({arr[i]!r})", index=i)
+        _require_nonneg(arr, "simplex point")
         total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise DomainError(f"coordinates sum to {total!r}, not 1")
@@ -54,11 +52,30 @@ class SimplexPoint:
         return f"SimplexPoint([{inside}])"
 
 
+def _require_nonneg(arr, name):
+    """``arr``, or DomainError unless its entries are finite and nonnegative, tested
+    by a ``minimum`` (which carries NaN) and a ``maximum`` reduction."""
+    if arr.size and not (np.minimum.reduce(arr, axis=None) >= 0.0 and np.maximum.reduce(arr, axis=None) < math.inf):
+        if not np.isfinite(arr).all():
+            raise DomainError(f"{name} must be finite")
+        i = int(arr.argmin()) % arr.shape[-1]
+        raise DomainError(f"{name} has negative coordinate {i} ({float(arr.min())!r})", index=i)
+    return arr
+
+
 def as_simplex(x) -> SimplexPoint:
     """Coerce an array-like to a validated SimplexPoint (pass-through if one)."""
     if isinstance(x, SimplexPoint):
         return x
     return SimplexPoint(x)
+
+
+def _as_interior(x, what) -> SimplexPoint:
+    """``x`` as a validated SimplexPoint; DomainError unless it is interior."""
+    xs = as_simplex(x)
+    if not xs.interior:
+        raise DomainError(f"{what} needs an interior point")
+    return xs
 
 
 def barycenter(n: int) -> SimplexPoint:

@@ -43,8 +43,6 @@ from .escorts import (
     Identity,
     Power,
     Scaled,
-    escort_exp,
-    escort_log,
 )
 from .geometry import escort_divergence, escort_metric
 from .landscapes import FitnessLandscape, builtin_landscape, gauge_shift, rsp_matrix
@@ -152,8 +150,7 @@ class _TrajectoryCache:
 _traj = _TrajectoryCache()
 
 
-def clear_cache():
-    _traj.cache_clear()
+clear_cache = _traj.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +325,7 @@ def _c13_roundtrips(tol):
     worst = 0.0
     for phi in families:
         for u in np.linspace(0.05, 5.0, 34):
-            worst = max(worst, abs(escort_exp(phi, escort_log(phi, float(u))) - u))
+            worst = max(worst, abs(phi.exp(phi.log(float(u))) - u))
     parts["roundtrip"] = (worst, 1e-8)
 
     rng = np.random.default_rng(7)
@@ -627,14 +624,13 @@ def select(names=None) -> list[Criterion]:
     return CRITERIA if names is None else [CRITERIA_BY_NAME[n] for n in names]
 
 
-def run_suite(names=None) -> list[CriterionResult]:
-    """Run the selected criteria (all by default) and return their results.
-
-    The criteria's runs are integrated first, as one plan (``integrate_runs``).
+def run_suite(names=None) -> tuple[list[CriterionResult], PlanReport]:
+    """Run the selected criteria (all by default); returns their results and
+    the report of integrating their runs first, as one plan (``integrate_runs``).
     """
     selected = select(names)
-    integrate_runs(plan(selected))
-    return [c.run() for c in selected]
+    report = integrate_runs(plan(selected))
+    return [c.run() for c in selected], report
 
 
 def format_report(results) -> str:

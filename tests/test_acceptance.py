@@ -43,7 +43,8 @@ MEASURED = {
 @pytest.fixture(scope="module")
 def cold_run():
     suite.clear_cache()
-    out = {r.name: r for r in suite.run_suite()}
+    results, _ = suite.run_suite()
+    out = {r.name: r for r in results}
     print()
     for name in CRITERION_NAMES:
         r = out[name]
@@ -82,7 +83,7 @@ def test_one_cpu_gives_the_same_values_in_one_process(monkeypatch):
     monkeypatch.setattr(os, "fork", None)  # calling it would raise
     suite.clear_cache()
     assert suite.integrate_runs(suite.plan(suite.select(names))).processes == 1
-    assert {r.name: repr(r.measured) for r in suite.run_suite(names)} == {
+    assert {r.name: repr(r.measured) for r in suite.run_suite(names)[0]} == {
         name: MEASURED[name] for name in names
     }
     suite.clear_cache()

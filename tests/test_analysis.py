@@ -6,13 +6,17 @@ import pytest
 from escortdyn import (
     ConfigError,
     Constant,
+    Custom,
     Exponential,
     Identity,
     Power,
+    Scaled,
     SimplexPoint,
     barycenter,
     builtin_landscape,
     escort_divergence,
+    escort_mean_fitness,
+    escort_metric,
     ess_check_sampled,
     fisher_rate,
     integral_of_motion,
@@ -180,6 +184,55 @@ class TestIntegralOfMotion:
         tr = integrate(phi, land, [0.5, 0.3, 0.2], t_end=10.0, step=1e-3, observe_every=100)
         vals = np.array([integral_of_motion(phi, barycenter(3), s) for s in tr.states])
         assert np.max(np.abs(vals - vals[0])) / abs(vals[0]) <= 1e-8
+
+
+    def test_equals_the_trajectory_column(self):
+        # a circulant antisymmetric game at n = 30 with f = A phi(x): the same sum, bit for bit
+        n, phi = 30, Power(2.0)
+        rng = np.random.default_rng(3)
+        row = rng.normal(size=n)
+        c = row - np.roll(row[::-1], 1)  # c_k = -c_{n-k}, so A_ij = c_{j-i} is antisymmetric
+        A = np.array([np.roll(c, i) for i in range(n)])
+        ref = barycenter(n)
+        tr = integrate(phi, FitnessLandscape.matrix_escort(A, phi), rng.dirichlet(np.ones(n)),
+                       t_end=0.5, step=1e-2, ref=ref)
+        assert len(tr) == 51
+        assert np.array_equal([integral_of_motion(phi, ref, x) for x in tr.states], tr.integral_of_motion)
+
+    def test_on_a_face_it_is_the_column(self):
+        face = [0.5, 0.5, 0.0]
+        assert integral_of_motion(Identity(), barycenter(3), face) == -math.inf
+        # Power(0.5) has the finite limit log_phi(0+) = -2
+        zero = FitnessLandscape.custom(lambda x: np.zeros(len(x)), name="zero")
+        tr = integrate(Power(0.5), zero, face, t_end=0.01, step=1e-3, ref=barycenter(3))
+        value = integral_of_motion(Power(0.5), barycenter(3), face)
+        assert math.isfinite(value) and value == tr.integral_of_motion[0]
+
+
+class TestGradientForm:
+    """The escort flow of f = grad V is the gradient of V in the escort metric on
+    the tangent space sum_i v_i = 0 (the generalized Shahshahani gradient): the
+    system [[diag g, 1], [1^T, 0]] [v; lam] = [f(x); 0], with g the escort metric,
+    has v = vector_field and lam = <f(x)>_phi. The solve shares no code with the field."""
+
+    FAMILIES = [
+        Identity(), Scaled(2.0), Power(0.5), Power(2.0), Power(3.0), Constant(1.5), Exponential(),
+        Custom(lambda v: v + v * v, name="v+v^2"),
+    ]
+
+    @pytest.mark.parametrize("phi", FAMILIES)
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("f", [NEG, builtin_landscape("exp_decay")], ids=["neg_identity", "exp_decay"])
+    def test_field_is_the_escort_metric_gradient(self, f, n, phi):
+        f.validate_potential(n)
+        for x in simplex_samples(n, 10, seed=n):
+            kkt = np.ones((n + 1, n + 1))
+            kkt[:n, :n] = np.diag(escort_metric(phi, x))
+            kkt[n, n] = 0.0
+            solution = np.linalg.solve(kkt, np.append(f(x.coords), 0.0))
+            field, mean = vector_field(phi, f, x), escort_mean_fitness(phi, f, x)
+            assert np.max(np.abs(solution[:n] - field)) <= 1e-12 * np.max(np.abs(field))
+            assert abs(solution[n] - mean) <= 1e-12 * abs(mean)
 
 
 class TestRestPointNeutrality:

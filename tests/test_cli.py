@@ -288,12 +288,17 @@ class TestRunCommand:
         assert "Traceback" not in proc.stderr, proc.stderr
         assert "config error: cannot write output" in proc.stderr
 
+    # files the JSON parser cannot read: text that is not UTF-8, and lists nested
+    # deeper than its recursion limit
+    UNREADABLE = {None: b"\xff\xfe{}", "deep": b"[" * 10_000 + b"]" * 10_000}
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
-    @pytest.mark.parametrize("patch", [None] + OVERSIZED_INTEGERS)  # None: a file that is not UTF-8
+    @pytest.mark.parametrize("patch", [None] + OVERSIZED_INTEGERS + ["deep"])
     def test_unreadable_numbers_and_text_exit_2(self, tmp_path, command, patch, capsys):
-        path, _ = base_config(tmp_path, **{"escort": {"family": "power", "q": 1.5}, **(patch or {})})
-        if patch is None:
-            path.write_bytes(b"\xff\xfe{}")
+        text = not isinstance(patch, dict)
+        path, _ = base_config(tmp_path, **{"escort": {"family": "power", "q": 1.5}, **({} if text else patch)})
+        if text:
+            path.write_bytes(self.UNREADABLE[patch])
         args = ["--param", "q", "--values", "1,2"] if command == "sweep" else []
         assert main([command, "--config", str(path), *args]) == 2
         assert capsys.readouterr().err.startswith("config error:")

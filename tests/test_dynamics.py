@@ -339,14 +339,14 @@ class TestRecordedDiagnostics:
         ref = barycenter(3)
         tr = integrate(phi, RSP, [0.5, 0.3, 0.2], t_end=1.0, step=1e-2, ref=ref)
         want = [integral_of_motion(phi, ref, x) for x in tr.states]
-        np.testing.assert_allclose(tr.integral_of_motion, want, rtol=1e-15, atol=0.0)
+        assert np.array_equal(tr.integral_of_motion, want)
 
     def test_custom_integral_of_motion_matches_analysis(self):
         phi = Custom(lambda v: v + v * v, name="v+v^2")
         ref = barycenter(3)
         tr = integrate(phi, RSP, [0.5, 0.3, 0.2], t_end=0.1, step=1e-2, ref=ref)
         want = [integral_of_motion(phi, ref, x) for x in tr.states]
-        np.testing.assert_allclose(tr.integral_of_motion, want, rtol=0.0, atol=1e-11)
+        assert np.array_equal(tr.integral_of_motion, want)
 
     def test_integral_of_motion_on_a_face(self):
         ref = barycenter(3)
@@ -774,6 +774,29 @@ class TestLandscapes:
     def test_unknown_builtin(self):
         with pytest.raises(ConfigError):
             builtin_landscape("nope")
+
+    # a 3x3 matrix in each form; Power(2) is also the escort of the flow, so the
+    # escort form takes the field's shared-weights path in vector_field and integrate
+    MISSIZED = {
+        "linear": FitnessLandscape.matrix_linear(rsp_matrix()),
+        "escort": FitnessLandscape.matrix_escort(rsp_matrix(), Power(2.0)),
+        "escort_log": FitnessLandscape.matrix_escort_log(rsp_matrix(), Power(2.0)),
+    }
+    ENTRY_POINTS = {
+        "call": lambda phi, f, x: f(x),
+        "evaluate": lambda phi, f, x: f.evaluate(x),
+        "vector_field": vector_field,
+        "integrate": lambda phi, f, x: integrate(phi, f, x, t_end=0.01, step=1e-3),
+        "formal_solution": lambda phi, f, x: integrate_formal_solution(phi, f, x, t_end=0.01, step=1e-3),
+        "discrete_step": discrete_step,
+    }
+
+    @pytest.mark.parametrize("n", [2, 4])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    @pytest.mark.parametrize("form", MISSIZED)
+    def test_matrix_of_another_size_raises_dimension_error(self, form, entry, n):
+        with pytest.raises(DimensionError):
+            self.ENTRY_POINTS[entry](Power(2.0), self.MISSIZED[form], barycenter(n).coords)
 
     def test_non_square_matrix_rejected(self):
         with pytest.raises(Exception):

@@ -435,6 +435,14 @@ class TestBoundaryValues:
             ends = phi._log(np.array([0.0, math.inf]))
         assert np.array(phi.log_range()).tobytes() == ends.tobytes()
 
+    @pytest.mark.parametrize(
+        "phi", [Identity(), Scaled(2.0), Constant(1.5), Exponential()] + [Power(q) for q in (0.5, 2.0, 2.5, 3.0)]
+    )
+    def test_antiderivative_of_a_float_is_that_of_a_one_element_array(self, phi):
+        with np.errstate(divide="ignore"):  # as geometry._closed_terms calls it
+            for u in (0.0, 0.3, 1.0, 2.0):
+                assert float(phi.log_antiderivative(u)) == phi.log_antiderivative(np.array([u]))[0]
+
     @pytest.mark.parametrize("phi", FAMILIES)
     def test_face_diagnostics_emit_no_warning(self, phi):
         face = np.array([0.0, 0.4, 0.6])
