@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DimensionError
 from .escorts import Escort, escort_variance, partition_function
 from .landscapes import FitnessLandscape
 from .simplex import SimplexPoint, _as_interior, as_simplex, random_interior
@@ -102,7 +102,7 @@ def integral_of_motion(phi: Escort, x_star, x) -> float:
     ref = as_simplex(x_star)
     xs = as_simplex(x)
     if ref.n != xs.n:
-        raise DomainError(f"dimension mismatch: {ref.n} vs {xs.n}")
+        raise DimensionError(f"dimension mismatch: {ref.n} vs {xs.n}")
     return float(_safe_integral(phi, ref.coords, xs.coords[None, :])[0])
 
 

@@ -328,12 +328,7 @@ def _execute(config: RunConfig) -> tuple[int, Optional[Trajectory]]:
 
 
 def cmd_run(args) -> int:
-    try:
-        config = _load_config(args.config)
-        code, traj = _execute(config)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+    code, traj = _execute(_load_config(args.config))
     if traj is None:
         print("domain error: dynamic undefined at the initial state", file=sys.stderr)
         return code
@@ -354,29 +349,24 @@ def _sweep_value(raw: dict, config: RunConfig, param: str, value: float) -> RunC
 
 
 def cmd_sweep(args) -> int:
+    raw = _read_json(args.config)
+    config = RunConfig.from_dict(raw)
+    family = config.escort["family"]
+    if args.param not in {field.name for field in fields(ESCORTS[family])}:
+        raise ConfigError(f"the {family} escort has no parameter {args.param!r} to sweep")
     try:
-        raw = _read_json(args.config)
-        config = RunConfig.from_dict(raw)
-        family = config.escort["family"]
-        if args.param not in {field.name for field in fields(ESCORTS[family])}:
-            raise ConfigError(f"the {family} escort has no parameter {args.param!r} to sweep")
-        try:
-            values = [float(v) for v in args.values.split(",") if v.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"sweep values must be numbers, got {args.values!r}") from None
-        if not values:
-            raise ConfigError("sweep needs at least one value")
-        if len(set(values)) != len(values):
-            raise ConfigError(f"sweep values must be distinct, got {args.values!r}")
-        configs = [_sweep_value(raw, config, args.param, v) for v in values]
-        # the identity-escort reference of the deviation column, written nowhere
-        identity = {**raw, "escort": {"family": "identity"}, "refs": None}
-        ref_traj = _integrate(RunConfig.from_dict(identity))
-        runs = [_sweep_run(value, cfg, ref_traj) for value, cfg in zip(values, configs)]
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-
+        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
+    except ValueError:
+        raise ConfigError(f"sweep values must be numbers, got {args.values!r}") from None
+    if not values:
+        raise ConfigError("sweep needs at least one value")
+    if len(set(values)) != len(values):
+        raise ConfigError(f"sweep values must be distinct, got {args.values!r}")
+    configs = [_sweep_value(raw, config, args.param, v) for v in values]
+    # the identity-escort reference of the deviation column, written nowhere
+    identity = {**raw, "escort": {"family": "identity"}, "refs": None}
+    ref_traj = _integrate(RunConfig.from_dict(identity))
+    runs = [_sweep_run(value, cfg, ref_traj) for value, cfg in zip(values, configs)]
     worst = max(run["exit_code"] for run in runs)
     print(json.dumps({"param": args.param, "runs": runs, "ok": worst == EXIT_OK}))
     return worst
@@ -406,15 +396,12 @@ def cmd_paper_suite(args) -> int:
     if args.only:
         names = [n.strip() for n in args.only.split(",") if n.strip()]
         if not names:
-            print(f"config error: --only names no criterion: {args.only!r}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"--only names no criterion: {args.only!r}")
         missing = [n for n in names if n not in suite.CRITERIA_BY_NAME]
         if missing:
-            print(f"config error: unknown criteria {missing}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"unknown criteria {missing}")
         if len(set(names)) != len(names):
-            print(f"config error: --only names must be distinct, got {args.only!r}", file=sys.stderr)
-            return EXIT_CONFIG
+            raise ConfigError(f"--only names must be distinct, got {args.only!r}")
     results, plan = suite.run_suite(names)
     print(suite.format_report(results))
     print(plan)
@@ -443,7 +430,11 @@ def main(argv=None) -> int:
     p_suite.set_defaults(fn=cmd_paper_suite)
 
     args = parser.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except ConfigError as err:
+        print(f"config error: {err}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 def entrypoint() -> None:

@@ -120,9 +120,12 @@ def _escort_mean(f: FitnessLandscape, w, fx):
     weight it gives NaN), so ``fx`` is checked entry by entry only then,
     raising the landscape's own DomainError. Fitness that mixes +inf and -inf,
     or is +inf at a zero weight, makes ``w @ fx`` warn "invalid value
-    encountered in matmul" before that error.
+    encountered in matmul"; where warnings are errors that is a NaN mean too.
     """
-    m = (w @ fx) / np.add.reduce(w)
+    try:
+        m = (w @ fx) / np.add.reduce(w)
+    except RuntimeWarning:
+        m = math.nan
     if not math.isfinite(m):
         f.check_finite(fx)
     return m
@@ -179,7 +182,7 @@ def _diagnostics(phi, ref, states):
     lyap, integral = np.empty(m), np.empty(m)
     for start in range(0, m, BLOCK_ROWS):
         block = slice(start, start + BLOCK_ROWS)
-        lyap[block] = divergence_profile(phi, ref, states[block], allow_infinite=True)
+        lyap[block] = divergence_profile(phi, ref, states[block])
         integral[block] = _safe_integral(phi, ref, states[block])
     return lyap, integral
 

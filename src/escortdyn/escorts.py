@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, RangeError
+from .errors import DimensionError, DomainError, RangeError
 from .numerics import gauss_kronrod, invert_increasing
 from .simplex import as_simplex
 
@@ -54,20 +54,15 @@ class Escort:
 
     # -- deformed logarithm and exponential --------------------------------
 
-    def log(self, u, method: str = "auto"):
-        """log_phi(u) for u > 0, at a float or a 1-d array; ``method="quadrature"``
-        forces the integral. DomainError (with ``index`` for an array) otherwise."""
+    def log(self, u):
+        """log_phi(u) for u > 0, at a float or a 1-d array: the family's closed
+        form, else quadrature. DomainError (with ``index`` for an array) otherwise."""
         u, scalar = _argument(u)
         if not _inside(u, 0.0, math.inf):
             i = int((np.isfinite(u) & (u > 0.0)).argmin())
             index = None if scalar else i
             raise DomainError(f"log_phi needs u > 0, got {float(u[i])!r}", index=index)
-        if method == "auto":
-            out = self._log(u)
-        elif method == "quadrature":
-            out = Escort._log(self, u)
-        else:
-            raise ValueError(f"method {method!r} not available: use 'auto' or 'quadrature'")
+        out = self._log(u)
         return float(out[0]) if scalar else out
 
     def exp(self, w):
@@ -397,7 +392,7 @@ def escort_variance(phi: Escort, x, f) -> float:
     xs = as_simplex(x)
     f = np.asarray(f, dtype=float)
     if f.shape != xs.coords.shape:
-        raise DomainError(f"f has shape {f.shape}, expected {xs.coords.shape}")
+        raise DimensionError(f"f has shape {f.shape}, expected {xs.coords.shape}")
     if not np.all(np.isfinite(f)):
         raise DomainError("f must be finite")
     w = phi.weights(xs.coords)

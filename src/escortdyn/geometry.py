@@ -78,39 +78,33 @@ def _quadrature_terms(phi: Escort, a, b) -> float:
     return total
 
 
-def _divergences(phi: Escort, a, states, method="auto"):
+def _divergences(phi: Escort, a, states):
     """D_phi(a || row) for every row of the (m, n) array ``states``: both divergences' body."""
-    if method == "quadrature" or (method == "auto" and not phi.has_closed_log):
+    if not phi.has_closed_log:
         return np.array([_quadrature_terms(phi, a, row) for row in states])
-    if method == "auto":
-        return _closed_terms(phi, a[None, :], states).sum(axis=1)
-    raise ValueError(f"method {method!r} not available: use 'auto' or 'quadrature'")
+    return _closed_terms(phi, a[None, :], states).sum(axis=1)
 
 
-def divergence_profile(phi: Escort, x_star, states: np.ndarray, allow_infinite=False) -> np.ndarray:
-    """D_phi(x_star || row) for every row of a (m, n) state matrix."""
+def divergence_profile(phi: Escort, x_star, states: np.ndarray) -> np.ndarray:
+    """D_phi(x_star || row) for every row of a (m, n) state matrix; +inf where it diverges."""
     a = _coerce_nonneg(x_star, "x_star")
     states = np.asarray(states, dtype=float)
     if states.ndim != 2 or states.shape[1] != a.size:
         raise DimensionError(f"states must have shape (m, {a.size})")
-    totals = _divergences(phi, a, _require_nonneg(states, "states"))
-    if not allow_infinite and np.any(np.isinf(totals)):
-        raise DivergenceInfinite("escort divergence is infinite along the profile")
-    return totals
+    return _divergences(phi, a, _require_nonneg(states, "states"))
 
 
-def escort_divergence(phi: Escort, x, y, method: str = "auto") -> float:
+def escort_divergence(phi: Escort, x, y) -> float:
     """The escort divergence D_phi(x || y); zero iff x = y, never negative.
 
-    ``method="quadrature"`` forces the quadrature path (one adaptive
-    Gauss-Kronrod integral of (x_i - v)/phi(v) per coordinate); the default
-    uses the family closed form when one exists.
+    The family closed form when one exists, else one adaptive Gauss-Kronrod
+    integral of (x_i - v)/phi(v) per coordinate.
     """
     a = _coerce_nonneg(x, "x")
     b = _coerce_nonneg(y, "y")
     if a.shape != b.shape:
         raise DimensionError(f"shape mismatch: {a.shape} vs {b.shape}")
-    total = float(_divergences(phi, a, b[None, :], method)[0])
+    total = float(_divergences(phi, a, b[None, :])[0])
     if math.isinf(total):
         raise DivergenceInfinite("D_phi(x || y) is infinite for these points")
     return total

@@ -375,7 +375,7 @@ class TestDiagnosticBlocks:
 
     @staticmethod
     def _assert_whole_trajectory(phi, tr, ref):
-        lyap = divergence_profile(phi, ref, tr.states, allow_infinite=True)
+        lyap = divergence_profile(phi, ref, tr.states)
         assert np.array_equal(tr.lyapunov, lyap, equal_nan=True)
         integral = _safe_integral(phi, ref.coords, tr.states)
         assert np.array_equal(tr.integral_of_motion, integral, equal_nan=True)
@@ -494,7 +494,8 @@ def _failing_at_one_state(values):
 class TestFailurePathWarnings:
     """The scalar tests send failures to the elementwise pass, which must not
     warn; only fitness that mixes +inf and -inf (or is +inf at a zero weight)
-    warns, in ``w @ fx``, before the landscape's DomainError."""
+    warns, in ``w @ fx``, and under warnings-as-errors that still ends in the
+    landscape's DomainError."""
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_landscape(self, value):
@@ -505,6 +506,18 @@ class TestFailurePathWarnings:
                 integrate(Identity(), land, [0.5, 0.3, 0.2], t_end=1.0, step=1e-2)
             tr = integrate(Identity(), _failing_at_one_state([value] * 3), [0.5, 0.3, 0.2],
                            t_end=0.01, step=1e-3)
+        assert tr.termination == Termination("boundary_exit", time=0.004, index=None)
+
+    def test_mixed_infinities(self):
+        mixed = [np.inf, -np.inf, 0.0]
+        land = FitnessLandscape.custom(lambda x: np.array(mixed), name="mixed")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="non-finite fitness"):
+                escort_mean_fitness(Identity(), land, barycenter(3))
+            with pytest.raises(DomainError, match="non-finite fitness"):
+                vector_field(Identity(), land, barycenter(3))
+            tr = integrate(Identity(), _failing_at_one_state(mixed), [0.5, 0.3, 0.2], t_end=0.01, step=1e-3)
         assert tr.termination == Termination("boundary_exit", time=0.004, index=None)
 
     def test_constant_drain(self):

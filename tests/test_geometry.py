@@ -20,7 +20,7 @@ from escortdyn import (
     sphere_coordinate,
 )
 from escortdyn.analysis import simplex_samples
-from escortdyn.geometry import divergence_profile
+from escortdyn.geometry import _quadrature_terms, divergence_profile
 
 NONDECREASING = [Identity(), Scaled(2.0), Power(0.5), Power(2.0), Power(3.0), Constant(1.0), Exponential()]
 
@@ -83,7 +83,7 @@ class TestEscortDivergence:
         ys = simplex_samples(3, 20, seed=13)
         for x, y in zip(xs, ys):
             closed = escort_divergence(Identity(), x, y)
-            quad = escort_divergence(Identity(), x, y, method="quadrature")
+            quad = _quadrature_terms(Identity(), x.coords, y.coords)
             assert abs(closed - quad) <= 1e-7
             # Power's near-one branch is the identity's closed form
             assert escort_divergence(Power(1 + 1e-12), x, y) == closed
@@ -94,18 +94,8 @@ class TestEscortDivergence:
         ys = simplex_samples(3, 5, seed=15)
         for x, y in zip(xs, ys):
             closed = escort_divergence(phi, x, y)
-            quad = escort_divergence(phi, x, y, method="quadrature")
+            quad = _quadrature_terms(phi, x.coords, y.coords)
             assert abs(closed - quad) <= 1e-7
-
-    def test_closed_method_rejected_without_closed_form(self):
-        # "auto" takes the closed form where one exists: no escort accepts "closed"
-        for phi in (Custom(lambda v: v + v * v, name="v+v^2"), Identity()):
-            with pytest.raises(ValueError, match="not available"):
-                escort_divergence(phi, [0.5, 0.5], [0.25, 0.75], method="closed")
-            with pytest.raises(ValueError, match="not available"):
-                phi.log(0.5, method="closed")
-        with pytest.raises(ValueError):
-            escort_divergence(Identity(), [0.5, 0.5], [0.25, 0.75], method="simpson")
 
     def test_custom_escort_uses_nested_quadrature(self):
         phi = Custom(lambda v: v + v * v, name="v+v^2")
@@ -179,7 +169,7 @@ class TestEscortDivergence:
             escort_divergence(Identity(), [0.5, 0.5], [1.0, 0.0])
         # the quadrature reference integrates between positive coordinates only
         with pytest.raises(DomainError, match="strictly positive"):
-            escort_divergence(Identity(), [1.0, 0.0], [0.5, 0.5], method="quadrature")
+            _quadrature_terms(Identity(), np.array([1.0, 0.0]), np.array([0.5, 0.5]))
 
     def test_power_above_one_infinite_at_boundary(self):
         with pytest.raises(DivergenceInfinite):
@@ -200,7 +190,7 @@ class TestDivergenceProfile:
         with pytest.raises(DomainError):
             escort_divergence(Identity(), [0.5, 0.5], row)
         with pytest.raises(DomainError):
-            divergence_profile(Identity(), [0.5, 0.5], [[0.25, 0.75], row], allow_infinite=True)
+            divergence_profile(Identity(), [0.5, 0.5], [[0.25, 0.75], row])
 
     @pytest.mark.parametrize("phi", NONDECREASING)
     def test_each_row_is_escort_divergence_bit_for_bit(self, phi):
@@ -210,7 +200,7 @@ class TestDivergenceProfile:
                 x = rng.dirichlet(np.ones(n))
                 x[rng.random(n) < 0.2] = 0.0
                 ys = rng.dirichlet(np.ones(n), size=4)
-                for y, d in zip(ys, divergence_profile(phi, x, ys, allow_infinite=True)):
+                for y, d in zip(ys, divergence_profile(phi, x, ys)):
                     if math.isinf(d):
                         with pytest.raises(DivergenceInfinite):
                             escort_divergence(phi, x, y)
