@@ -6,7 +6,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionError
-from .escorts import Escort, escort_variance, partition_function
+from .escorts import Escort, _weighted_variance
 from .landscapes import FitnessLandscape
 from .simplex import SimplexPoint, _as_interior, as_simplex, random_interior
 from .dynamics import _safe_integral, vector_field
@@ -93,7 +93,8 @@ def fisher_rate(phi: Escort, f: FitnessLandscape, x) -> float:
         raise ConfigError("fisher_rate needs a landscape with a declared potential")
     xs = _as_interior(x, "fisher_rate")
     fx = f(xs.coords)
-    return partition_function(phi, xs) * escort_variance(phi, xs, fx)
+    w = phi.weights(xs.coords)
+    return float(np.add.reduce(w)) * _weighted_variance(w, fx)
 
 
 def integral_of_motion(phi: Escort, x_star, x) -> float:

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, PositivityError
-from .escorts import Escort
+from .escorts import Escort, _weighted_mean
 from .geometry import divergence_profile
 from .landscapes import FitnessLandscape
 from .simplex import SimplexPoint, _as_interior, as_simplex
@@ -118,14 +118,9 @@ def _escort_mean(f: FitnessLandscape, w, fx):
 
     A non-finite entry of ``fx`` always makes the mean non-finite (at a zero
     weight it gives NaN), so ``fx`` is checked entry by entry only then,
-    raising the landscape's own DomainError. Fitness that mixes +inf and -inf,
-    or is +inf at a zero weight, makes ``w @ fx`` warn "invalid value
-    encountered in matmul"; where warnings are errors that is a NaN mean too.
+    raising the landscape's own DomainError.
     """
-    try:
-        m = (w @ fx) / np.add.reduce(w)
-    except RuntimeWarning:
-        m = math.nan
+    m = _weighted_mean(w, fx)
     if not math.isfinite(m):
         f.check_finite(fx)
     return m

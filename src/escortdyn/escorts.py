@@ -22,11 +22,6 @@ from .errors import DimensionError, DomainError, RangeError
 from .numerics import gauss_kronrod, invert_increasing
 from .simplex import as_simplex
 
-# |q - 1| below this uses the identity-escort closed forms; avoids the
-# catastrophic cancellation of (u^(1-q) - 1)/(1-q). Same guard at q = 2
-# for the log antiderivative.
-Q_DEGENERATE = 1e-9
-
 LOG_QUAD_TOL = 1e-10
 EXP_TOL = 1e-10
 # Tolerance of each increment of log_phi while inverting it; the summed
@@ -222,7 +217,10 @@ class Scaled(Escort):
 
 @dataclass(frozen=True)
 class Power(Escort):
-    """phi(u) = u**q: Tsallis-type deformation; q = 2 is the Poincare escort."""
+    """phi(u) = u**q: Tsallis-type deformation; q = 2 is the Poincare escort.
+
+    With e = 1 - q, log_phi = (u^e - 1)/e is expm1(e log u)/e, inverted through
+    log1p: nothing cancels as q -> 1, and q = 1 itself, 0/0 there, is the identity."""
 
     q: float
 
@@ -234,10 +232,6 @@ class Power(Escort):
     def requires_positive(self):
         return self.q <= 0.0
 
-    @property
-    def _near_one(self):
-        return abs(self.q - 1.0) < Q_DEGENERATE
-
     def weights(self, x):
         x = np.asarray(x, dtype=float)
         _require_nonnegative(x)
@@ -247,41 +241,36 @@ class Power(Escort):
         return x**self.q
 
     def _log(self, u):
-        if self._near_one:
-            return np.log(u)
         e = 1.0 - self.q
-        return (u**e - 1.0) / e
+        return np.expm1(e * np.log(u)) / e if e != 0.0 else np.log(u)
 
     def _exp(self, w):
-        if self._near_one:
-            return np.exp(w)
         e = 1.0 - self.q
-        return (1.0 + e * w) ** (1.0 / e)
+        return np.exp(np.log1p(e * w) / e) if e != 0.0 else np.exp(w)
 
     def log_range(self):
-        if self._near_one:
-            return (-math.inf, math.inf)
         e = 1.0 - self.q
+        if e == 0.0:
+            return (-math.inf, math.inf)
         if e > 0.0:  # q < 1
             return (-1.0 / e, math.inf)
         return (-math.inf, -1.0 / e)  # q > 1
 
     def log_antiderivative(self, u):
-        if self._near_one:
-            return _xlogx(u) - u
-        if abs(self.q - 2.0) < Q_DEGENERATE:
+        # anchored at 0 up to q = 3/2, like the identity's u log u - u; above,
+        # at 1, since at 0 every value near q = 2 would carry about -1/(2 - q)
+        d = 2.0 - self.q
+        if self.q <= 1.5:
+            return (u * self._log(np.where(u > 0.0, u, 1.0)) - u) / d
+        if d == 0.0:
             return u - np.log(u)
-        e = 1.0 - self.q
-        u = np.asarray(u, dtype=float)  # so that 0.0 ** (2 - q) gives inf, not ZeroDivisionError
-        return (u ** (2.0 - self.q) / (2.0 - self.q) - u) / e
+        return (np.expm1(d * np.log(u)) / d - (u - 1.0)) / (1.0 - self.q)
 
     def sphere_map(self, u):
         e = 1.0 - 0.5 * self.q
-        if abs(e) < Q_DEGENERATE:  # q = 2: anchored at 1
-            return np.log(u)
         if e > 0.0:  # q < 2: integrable at 0
             return u**e / e
-        return (u**e - 1.0) / e  # q > 2: anchored at 1
+        return np.expm1(e * np.log(u)) / e if e != 0.0 else np.log(u)  # q >= 2: anchored at 1
 
 
 @dataclass(frozen=True)
@@ -387,6 +376,21 @@ def partition_function(phi: Escort, x) -> float:
     return float(phi.weights(xs.coords).sum())
 
 
+def _weighted_mean(w, f):
+    """The escort mean <f>_phi from the weights ``w``; NaN where ``w @ f`` warns
+    (+inf and -inf in ``f``, or +inf at a zero weight) and warnings are errors."""
+    try:
+        return (w @ f) / np.add.reduce(w)
+    except RuntimeWarning:
+        return math.nan
+
+
+def _weighted_variance(w, f) -> float:
+    """The escort variance of ``f`` from the weights ``w``."""
+    d = f - _weighted_mean(w, f)
+    return float(w @ (d * d) / np.add.reduce(w))
+
+
 def escort_variance(phi: Escort, x, f) -> float:
     """Escort variance of f: the escort expectation of (f - mean)^2."""
     xs = as_simplex(x)
@@ -395,11 +399,7 @@ def escort_variance(phi: Escort, x, f) -> float:
         raise DimensionError(f"f has shape {f.shape}, expected {xs.coords.shape}")
     if not np.all(np.isfinite(f)):
         raise DomainError("f must be finite")
-    w = phi.weights(xs.coords)
-    z = w.sum()
-    m = w @ f / z
-    d = f - m
-    return float(w @ (d * d) / z)
+    return _weighted_variance(phi.weights(xs.coords), f)
 
 
 escort_log = Escort.log

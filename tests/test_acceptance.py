@@ -25,7 +25,7 @@ PLAN_STEPS = 700_000
 MEASURED = {
     "rsp_product_conservation": "5.0769573730254556e-14",
     "poincare_inverse_sum": "1.3580534546382559e-14",
-    "general_integral_of_motion": "1.7231725028912612e-14",
+    "general_integral_of_motion": "1.723172502891261e-14",
     "lyapunov_monotonicity": "4.411656111125266e-16",
     "fisher_rate_gradient_flows": "5.585228963803212e-10",
     "nash_rest_points": "0.0",

@@ -178,10 +178,6 @@ class TestEscortLog:
             assert abs(escort_log(Power(1 + eps), float(u)) - math.log(u)) <= 1e-5
             assert abs(escort_log(Power(1 - eps), float(u)) - math.log(u)) <= 1e-5
 
-    def test_q_degenerate_dispatch(self):
-        # inside the 1e-9 window the identity form is used exactly
-        assert escort_log(Power(1 + 1e-12), 2.0) == math.log(2.0)
-
     @pytest.mark.parametrize("phi", SCALAR_FAMILIES)
     def test_rejects_nonpositive(self, phi):
         with pytest.raises(DomainError):
@@ -419,7 +415,7 @@ class TestBoundaryValues:
     motion on a face come from them without a floating-point warning."""
 
     FAMILIES = [Identity(), Scaled(2.0), Constant(1.5), Exponential()] + [
-        Power(q) for q in (-1.0, 0.0, 0.5, 1.0, 1 + 1e-12, 1.5, 2.0, 2 + 1e-12, 3.0)
+        Power(q) for q in (-1.0, 0.0, 0.5, 1.0, 1 + 1e-12, 1.5, 1.75, 2.0, 2 + 1e-12, 3.0)
     ]
 
     @staticmethod
@@ -428,6 +424,8 @@ class TestBoundaryValues:
             return 1.0
         if isinstance(phi, Power) and phi.q >= 2.0:
             return math.inf
+        if isinstance(phi, Power) and phi.q > 1.5:  # anchored at 1 above q = 3/2
+            return 1.0 / (2.0 - phi.q)
         return 0.0
 
     @pytest.mark.parametrize("phi", FAMILIES)

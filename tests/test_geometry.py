@@ -85,8 +85,6 @@ class TestEscortDivergence:
             closed = escort_divergence(Identity(), x, y)
             quad = _quadrature_terms(Identity(), x.coords, y.coords)
             assert abs(closed - quad) <= 1e-7
-            # Power's near-one branch is the identity's closed form
-            assert escort_divergence(Power(1 + 1e-12), x, y) == closed
 
     @pytest.mark.parametrize("phi", [Power(0.5), Power(2.0), Exponential(), Constant(2.0)])
     def test_family_closed_forms_match_quadrature(self, phi):
