@@ -8,8 +8,8 @@ escort distribution, and its reciprocal integrates to a deformed logarithm
 
 whose inverse exp_phi generalizes the exponential. Closed forms are
 dispatched per family, and their limits at u = 0 are the values on the
-boundary of the simplex; the Custom family falls back to adaptive
-Gauss-Kronrod quadrature and safeguarded Newton inversion.
+boundary of the simplex; the Custom family integrates log_phi in log v by
+adaptive Gauss-Kronrod quadrature and inverts it by safeguarded Newton steps.
 """
 
 import math
@@ -19,14 +19,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, DomainError, RangeError
-from .numerics import gauss_kronrod, invert_increasing
+from .numerics import gauss_kronrod_log, invert_increasing
 from .simplex import as_simplex
 
 LOG_QUAD_TOL = 1e-10
 EXP_TOL = 1e-10
-# Tolerance of each increment of log_phi while inverting it; the summed
-# error over the probes of one inversion stays below EXP_TOL.
-EXP_STEP_TOL = 1e-13
 
 _POSITIVITY_GRID = np.arange(1, 1001) / 1001.0
 
@@ -73,30 +70,17 @@ class Escort:
         out = self._exp(w) if self.has_closed_log else self._exp_inversion(w, scalar)
         return float(out[0]) if scalar else out
 
-    def _log_accumulator(self):
-        """log_phi summed from log_phi(1) = 0, one integral per gap between
-        successive calls: the probes of one ``exp`` inversion."""
-        last_u, last_log = 1.0, 0.0
-
-        def log_phi(u):
-            nonlocal last_u, last_log
-            last_log += gauss_kronrod(self.reciprocal, last_u, u, tol=EXP_STEP_TOL)
-            last_u = u
-            return last_log
-
-        return log_phi
-
     def _log(self, u):
         """log_phi by quadrature: one integral from 1 per entry of the array ``u``."""
-        logs = [gauss_kronrod(self.reciprocal, 1.0, v, tol=LOG_QUAD_TOL) for v in u.ravel().tolist()]
+        logs = [gauss_kronrod_log(self.reciprocal, 1.0, v, tol=LOG_QUAD_TOL) for v in u.ravel().tolist()]
         return np.array(logs).reshape(u.shape)
 
     def _exp_inversion(self, w, scalar):
-        """exp_phi by inverting log_phi entry by entry; RangeError names the failing entry."""
+        """exp_phi by inverting ``log`` itself entry by entry; RangeError names the failing entry."""
         out = np.empty(w.size)
         for i, v in enumerate(w.tolist()):
             try:
-                out[i] = invert_increasing(self._log_accumulator(), self.reciprocal, v, tol=EXP_TOL)
+                out[i] = invert_increasing(self.log, self.reciprocal, v, tol=EXP_TOL)
             except RangeError as err:
                 err.index = None if scalar else i
                 raise
@@ -130,7 +114,7 @@ class Escort:
             return np.sqrt(self.reciprocal(v))
 
         return np.array([
-            gauss_kronrod(integrand, 1.0, a, tol=LOG_QUAD_TOL)
+            gauss_kronrod_log(integrand, 1.0, a, tol=LOG_QUAD_TOL)
             for a in np.asarray(u, dtype=float).tolist()
         ])
 

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import DimensionError, DivergenceInfinite, DomainError
 from .escorts import Escort
-from .numerics import gauss_kronrod
+from .numerics import gauss_kronrod_log
 from .simplex import SimplexPoint, _as_interior, _require_nonneg, as_simplex
 
 DIVERGENCE_QUAD_TOL = 1e-9  # quadrature tolerance, per coordinate
@@ -72,7 +72,7 @@ def _quadrature_terms(phi: Escort, a, b) -> float:
             continue
         if ai <= 0.0 or bi <= 0.0:
             raise DomainError("quadrature divergence needs strictly positive coordinates")
-        total += gauss_kronrod(
+        total += gauss_kronrod_log(
             lambda v, ai=ai: (ai - v) * phi.reciprocal(v), bi, ai, tol=DIVERGENCE_QUAD_TOL
         )
     return total

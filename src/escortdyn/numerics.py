@@ -1,4 +1,4 @@
-"""Scalar numerics: adaptive Gauss-Kronrod quadrature and monotone inversion."""
+"""Scalar numerics: adaptive Gauss-Kronrod quadrature, in v or in log v, and monotone inversion."""
 
 import math
 
@@ -101,6 +101,22 @@ def gauss_kronrod(f, a, b, tol=1e-10):
         panels.append((mid, hi, 0.5 * panel_tol, depth - 1))
         panels.append((lo, mid, 0.5 * panel_tol, depth - 1))
     return sign * total
+
+
+def gauss_kronrod_log(f, a, b, tol=1e-10):
+    """``gauss_kronrod`` of ``f`` over [a, b], a, b >= 0, as f(e^s) e^s over [log a, log b].
+
+    The integrand is bounded at a simple pole of ``f`` at 0, and each panel spans a
+    ratio of v (Davis & Rabinowitz, Methods of Numerical Integration, 2.12). A bound
+    of exactly 0, which s = log v never reaches, keeps the integral in v."""
+    if a == 0.0 or b == 0.0:
+        return gauss_kronrod(f, a, b, tol)
+
+    def integrand(s):
+        v = np.exp(s)
+        return f(v) * v
+
+    return gauss_kronrod(integrand, math.log(a), math.log(b), tol)
 
 
 def invert_increasing(g, gprime, target, tol):

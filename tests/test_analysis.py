@@ -8,6 +8,7 @@ from escortdyn import (
     Constant,
     Custom,
     DimensionError,
+    EscortError,
     Exponential,
     Identity,
     Power,
@@ -205,6 +206,28 @@ class TestIntegralOfMotion:
         tr = integrate(Power(0.5), zero, face, t_end=0.01, step=1e-3, ref=barycenter(3))
         value = integral_of_motion(Power(0.5), barycenter(3), face)
         assert math.isfinite(value) and value == tr.integral_of_motion[0]
+
+    def test_custom_on_a_face(self):
+        # log_phi(0) = -log 2 for phi = 1 + v: a bound of 0 is integrated in v,
+        # since s = log v never reaches it
+        phi = Custom(lambda v: 1.0 + v, name="1+v")
+        value = integral_of_motion(phi, barycenter(3), [0.5, 0.5, 0.0])
+        assert abs(value - -0.4228371084878357) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "fn,log_at_zero",
+        [(lambda v: v + v * v, -math.inf), (math.sqrt, -2.0), (lambda v: v, -math.inf)],
+        ids=["v+v^2", "sqrt(v)", "v"],
+    )
+    def test_custom_on_a_face_gives_the_limit_or_an_escort_error(self, fn, log_at_zero):
+        # 1/phi is unbounded at 0: the integral in v may give up, but only
+        # with one of the package's errors
+        phi = Custom(fn, name="pole")
+        try:
+            value = integral_of_motion(phi, barycenter(3), [0.5, 0.5, 0.0])
+        except EscortError:
+            return
+        assert value == pytest.approx((2.0 * phi.log(0.5) + log_at_zero) / 3.0, abs=1e-8)
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_rejects_wrong_length(self, n):

@@ -312,20 +312,49 @@ class TestCustomQuadrature:
             assert abs(escort_exp(phi, w) - closed_exp(w)) <= 1e-8 * max(1.0, u)
 
     def test_log_reaches_the_pole_of_the_reciprocal(self):
-        # 1/phi ~ 1/v near 0: the panel tolerances halve below rounding, where the
-        # roundoff floor accepts them; at 1e-300 the depth limit still ends it
+        # 1/phi ~ 1/v near 0: in s = log v the integrand v/phi(v) is bounded
+        # there, so each panel spans a ratio of v and 1e-300 is as near as 1e-6
         phi = Custom(lambda v: v + v * v, name="v+v^2")
-        for u in (1e-6, 1e-9, 1e-12):
+        for u in (1e-6, 1e-9, 1e-12, 1e-15, 1e-100, 1e-300):
             assert abs(phi.log(u) - math.log(2.0 * u / (1.0 + u))) <= 1e-10
-        with pytest.raises(QuadratureError, match="maximum depth"):
-            phi.log(1e-300)
+
+    # (phi, closed log_phi): log_phi bounded (v^2, v + v^2) and unbounded at infinity
+    FAR_CASES = {
+        "v^2": (lambda v: v * v, lambda u: 1.0 - 1.0 / u),
+        "v+v^2": (lambda v: v + v * v, lambda u: math.log(2.0) - math.log1p(1.0 / u)),
+        "sqrt(v)": (math.sqrt, lambda u: 2.0 * (math.sqrt(u) - 1.0)),
+        "0.5": (lambda v: 0.5, lambda u: 2.0 * (u - 1.0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(FAR_CASES))
+    def test_log_far_from_one_matches_the_closed_form(self, name):
+        fn, closed_log = self.FAR_CASES[name]
+        phi = Custom(fn, name=name)
+        for u in (1e6, 1e14, 1e100):
+            want = closed_log(u)
+            assert abs(phi.log(u) - want) <= 1e-12 * max(1.0, abs(want))
+
+    def test_log_and_exp_agree_where_log_phi_saturates(self):
+        # log_phi = 1 - 1/u for phi = v^2: an integral in v from 1 would span
+        # 1e15 and return about 0; exp inverts the same function that log computes
+        phi = Custom(lambda v: v * v, name="v^2")
+        w = phi.log(1e15)
+        assert abs(w - (1.0 - 1e-15)) <= 1e-12
+        assert abs(phi.log(phi.exp(w)) - w) <= 1e-10
 
     def test_log_evaluation_count(self):
         phi, count = counting_custom(lambda v: v + v * v)
         args = np.linspace(0.05, 5.0, 100)
         for u in args:
             escort_log(phi, float(u))
-        assert count[0] <= 150 * args.size
+        assert count[0] <= 15 * args.size
+
+    def test_exp_evaluation_count(self):
+        phi, count = counting_custom(lambda v: v + v * v)
+        ws = [math.log(2.0 * u / (1.0 + u)) for u in np.linspace(0.05, 5.0, 100)]
+        for w in ws:
+            escort_exp(phi, w)
+        assert count[0] <= 100 * len(ws)
 
     @staticmethod
     def stratified_args(count, seed=0):
