@@ -46,7 +46,7 @@ EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_MIDRUN = 4
 
-# escort family -> class; a family's parameters and their defaults are the class's fields
+# escort family -> class; a family's parameters and their defaults are the class's init fields
 ESCORTS = {
     "identity": Identity,
     "scaled": Scaled,
@@ -173,7 +173,7 @@ def _escort_spec(raw) -> dict:
     if fam not in ESCORTS:
         raise ConfigError(f"unknown escort family {fam!r} (have {tuple(ESCORTS)})")
     out = {"family": fam}
-    for field in fields(ESCORTS[fam]):
+    for field in (f for f in fields(ESCORTS[fam]) if f.init):  # Identity's q is fixed
         if field.name not in raw and field.default is MISSING:
             raise ConfigError(f"{fam} escort needs {field.name!r}")
         out[field.name] = _number(raw.get(field.name, field.default), field.name)
@@ -352,7 +352,7 @@ def cmd_sweep(args) -> int:
     raw = _read_json(args.config)
     config = RunConfig.from_dict(raw)
     family = config.escort["family"]
-    if args.param not in {field.name for field in fields(ESCORTS[family])}:
+    if args.param not in config.escort.keys() - {"family"}:
         raise ConfigError(f"the {family} escort has no parameter {args.param!r} to sweep")
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]

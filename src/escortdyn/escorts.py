@@ -13,7 +13,7 @@ adaptive Gauss-Kronrod quadrature and inverts it by safeguarded Newton steps.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -150,28 +150,6 @@ def _require_nonnegative(x):
 
 
 @dataclass(frozen=True)
-class Identity(Escort):
-    """phi(u) = u: ordinary logarithm, Shahshahani weights, replicator flow."""
-
-    def weights(self, x):
-        x = np.asarray(x, dtype=float)
-        _require_nonnegative(x)
-        return x
-
-    def _log(self, u):
-        return np.log(u)
-
-    def _exp(self, w):
-        return np.exp(w)
-
-    def log_antiderivative(self, u):
-        return _xlogx(u) - u
-
-    def sphere_map(self, u):
-        return 2.0 * np.sqrt(u)
-
-
-@dataclass(frozen=True)
 class Scaled(Escort):
     """phi(u) = beta * u with beta > 0: replicator flow at selection intensity beta."""
 
@@ -222,7 +200,7 @@ class Power(Escort):
         if self.q <= 0.0 and x.size and np.fmin.reduce(x, axis=None) == 0.0:
             index = None if x.ndim == 0 else int(x.argmin())  # the first zero
             raise DomainError(f"u**q undefined at u = 0 for q={self.q!r}", index=index)
-        return x**self.q
+        return x if self.q == 1.0 else x**self.q  # x**1.0 would copy the same bits
 
     def _log(self, u):
         e = 1.0 - self.q
@@ -255,6 +233,13 @@ class Power(Escort):
         if e > 0.0:  # q < 2: integrable at 0
             return u**e / e
         return np.expm1(e * np.log(u)) / e if e != 0.0 else np.log(u)  # q >= 2: anchored at 1
+
+
+@dataclass(frozen=True)
+class Identity(Power):
+    """phi(u) = u: Power at q = 1, the ordinary logarithm, Shahshahani weights, replicator flow."""
+
+    q: float = field(default=1.0, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)

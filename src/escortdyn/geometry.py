@@ -65,13 +65,13 @@ def _quadrature_terms(phi: Escort, a, b) -> float:
 
     By Fubini, B(a, b) = int_b^a (log_phi(u) - log_phi(b)) du
     = int_b^a (a - v) / phi(v) dv, so no inner quadrature of log_phi is needed.
+    A zero coordinate is a bound of exactly 0, which ``gauss_kronrod_log``
+    integrates in v: finite where that integral converges, else QuadratureError.
     """
     total = 0.0
     for ai, bi in zip(a, b):
         if ai == bi:
             continue
-        if ai <= 0.0 or bi <= 0.0:
-            raise DomainError("quadrature divergence needs strictly positive coordinates")
         total += gauss_kronrod_log(
             lambda v, ai=ai: (ai - v) * phi.reciprocal(v), bi, ai, tol=DIVERGENCE_QUAD_TOL
         )

@@ -25,7 +25,8 @@ class SimplexPoint:
         if arr.ndim != 1 or arr.size < 2:
             raise DomainError("simplex point needs a 1-d vector of length >= 2")
         _require_nonneg(arr, "simplex point")
-        total = float(arr.sum())
+        with np.errstate(over="ignore"):  # a sum beyond float range is inf, rejected below
+            total = float(arr.sum())
         if abs(total - 1.0) > SUM_TOL:
             raise DomainError(f"coordinates sum to {total!r}, not 1")
         arr.flags.writeable = False

@@ -117,6 +117,7 @@ class TestRunConfig:
             {"escort": {"family": "tsallis"}},
             {"escort": {"family": "power"}},
             {"escort": {"family": "scaled", "beta": -1.0}},
+            {"escort": {"family": "identity", "q": 2.0}},  # Power at a fixed q = 1
             {"landscape": {"builtin": "nope"}},
             {"landscape": {"matrix": [[0.0, 1.0]]}},
             {"step": 0.0},
@@ -302,6 +303,21 @@ class TestRunCommand:
         args = ["--param", "q", "--values", "1,2"] if command == "sweep" else []
         assert main([command, "--config", str(path), *args]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_overflowing_sum_is_one_config_error_line(self, tmp_path, command, capsys):
+        # the sum of x0 overflows: a config error, with no numpy warning before it
+        path, _ = base_config(tmp_path, escort={"family": "power", "q": 1.5}, x0=[1.2e-7, 1e308, 1e308])
+        args = ["--param", "q", "--values", "1,2"] if command == "sweep" else []
+        assert main([command, "--config", str(path), *args]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error:"), err
+
+    def test_identity_has_no_parameter_to_sweep(self, tmp_path, capsys):
+        path, _ = base_config(tmp_path, t_end=0.1, refs=None)
+        assert main(["sweep", "--config", str(path), "--param", "q", "--values", "1,2"]) == 2
+        assert "identity escort has no parameter 'q'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_file_exit_2(self, tmp_path):
         proc = run_cli("run", "--config", "missing.json", cwd=tmp_path)

@@ -542,6 +542,44 @@ class TestWeights:
         assert [float(phi.weights(float(u))) for u in xs] == got.tolist()
 
 
+class TestIdentityIsPowerOne:
+    """The replicator escort phi(u) = u has one body: Power's at q = 1."""
+
+    GRID = np.concatenate([
+        [0.0, 5e-324, 1e-300, 1e-15, 0.5, 1.0, 2.0, 1e15, 1e300],
+        np.random.default_rng(23).uniform(0.0, 1.0, 200),
+        np.geomspace(1e-300, 1e300, 201),
+    ])
+    W = np.concatenate([[-math.inf, -745.0, -1.0, -0.0, 0.0, 1.0, 709.0, math.inf], np.linspace(-800.0, 800.0, 401)])
+
+    @staticmethod
+    def same_bits(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_every_closed_form_is_power_one_bit_for_bit(self):
+        identity, power = Identity(), Power(1.0)
+        with np.errstate(divide="ignore", over="ignore"):
+            for name, arg in [("weights", self.GRID), ("_log", self.GRID), ("_exp", self.W),
+                              ("log_antiderivative", self.GRID), ("sphere_map", self.GRID)]:
+                assert self.same_bits(getattr(identity, name)(arg), getattr(power, name)(arg)), name
+        assert identity.log_range() == power.log_range()
+
+    def test_weights_return_the_state_itself(self):
+        x = np.array([0.5, 0.25, 0.25, 0.0])
+        assert Identity().weights(x) is x
+        assert Power(1.0).weights(x) is x
+
+    def test_identity_keeps_its_repr_and_equality(self):
+        assert repr(Identity()) == "Identity()"
+        assert Identity() == Identity() and hash(Identity()) == hash(Identity())
+        assert Identity() != Power(1.0) and Power(1.0) != Identity()
+        assert not any(name in vars(Identity) for name in ("weights", "_log", "_exp", "log_antiderivative",
+                                                           "sphere_map", "log_range"))
+        with pytest.raises(TypeError):
+            Identity(2.0)
+
+
 class TestConstruction:
     def test_scaled_requires_positive_beta(self):
         with pytest.raises(DomainError):

@@ -12,6 +12,7 @@ from escortdyn import (
     Exponential,
     Identity,
     Power,
+    QuadratureError,
     Scaled,
     SimplexPoint,
     escort_divergence,
@@ -22,6 +23,8 @@ from escortdyn import (
 from escortdyn.analysis import simplex_samples
 from escortdyn.geometry import _quadrature_terms, divergence_profile
 
+BARYCENTER = [1.0 / 3.0] * 3
+FACE = [0.5, 0.5, 0.0]
 NONDECREASING = [Identity(), Scaled(2.0), Power(0.5), Power(2.0), Power(3.0), Constant(1.0), Exponential()]
 
 
@@ -165,9 +168,27 @@ class TestEscortDivergence:
         # mass on a coordinate the second argument lacks: infinite
         with pytest.raises(DivergenceInfinite):
             escort_divergence(Identity(), [0.5, 0.5], [1.0, 0.0])
-        # the quadrature reference integrates between positive coordinates only
-        with pytest.raises(DomainError, match="strictly positive"):
-            _quadrature_terms(Identity(), np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+        # the quadrature reference integrates to a zero coordinate in v
+        val = _quadrature_terms(Identity(), np.array([1.0, 0.0]), np.array([0.5, 0.5]))
+        assert val == pytest.approx(math.log(2.0), abs=1e-12)
+
+    # phi(v) = 1 + v: L(u) = (1 + u) ln(1 + u) - (1 + u) - u ln 2, log_phi(u) = ln(1 + u) - ln 2
+    @pytest.mark.parametrize("x, y, closed", [
+        (BARYCENTER, FACE, 0.06948800151868523),
+        (FACE, BARYCENTER, 0.06566703451736958),
+    ])
+    def test_custom_divergence_at_a_zero_coordinate(self, x, y, closed):
+        got = escort_divergence(Custom(lambda v: 1.0 + v, name="1+v"), x, y)
+        assert got == pytest.approx(closed, abs=1e-12)
+
+    # 1/phi is not integrable at 0 for v and v + v^2; for sqrt(v) it is, and the
+    # true value (4/3) a^(3/2) is beyond the quadrature in v, which raises too
+    @pytest.mark.parametrize("phi", [
+        Identity(), Custom(lambda v: v + v * v, name="v+v^2"), Custom(math.sqrt, name="sqrt"),
+    ])
+    def test_quadrature_against_a_zero_coordinate_raises(self, phi):
+        with pytest.raises(QuadratureError):
+            _quadrature_terms(phi, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
 
     def test_power_above_one_infinite_at_boundary(self):
         with pytest.raises(DivergenceInfinite):
