@@ -8,7 +8,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .escorts import Escort, _weighted_variance
 from .landscapes import FitnessLandscape
-from .simplex import SimplexPoint, _as_interior, as_simplex, random_interior
+from .simplex import SimplexPoint, _as_interior, as_simplex
 from .dynamics import _safe_integral, vector_field
 
 PASSED_SAMPLED = "passed_sampled"
@@ -120,8 +120,3 @@ def monotone_nonincreasing(values, per_step_tol: float = 1e-10) -> bool:
         return True
     return bool(np.all(np.diff(v) <= per_step_tol))
 
-
-def simplex_samples(n: int, count: int, seed: int = 0) -> list[SimplexPoint]:
-    """Seeded interior samples, shared by tests and the verification suite."""
-    rng = np.random.default_rng(seed)
-    return [random_interior(n, rng) for _ in range(count)]

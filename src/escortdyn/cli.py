@@ -297,24 +297,18 @@ def _load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(_read_json(path))
 
 
-def _integrate(config: RunConfig) -> Optional[Trajectory]:
-    """The config's trajectory; None when the dynamic is undefined at the initial state."""
-    phi = config.build_escort()
-    f = config.build_landscape()
+def _integrate(config: RunConfig) -> Trajectory:
+    """The config's trajectory; DomainError when the dynamic or a diagnostic
+    is undefined at the initial state."""
     ref = None if config.refs is None else np.array(config.refs)
-    try:
-        return integrate(
-            phi, f, np.array(config.x0), config.t_end, config.step,
-            observe_every=config.observe_every, ref=ref,
-        )
-    except DomainError:
-        return None
+    return integrate(
+        config.build_escort(), config.build_landscape(), np.array(config.x0), config.t_end,
+        config.step, observe_every=config.observe_every, ref=ref,
+    )
 
 
-def _execute(config: RunConfig) -> tuple[int, Optional[Trajectory]]:
+def _execute(config: RunConfig) -> tuple[int, Trajectory]:
     traj = _integrate(config)
-    if traj is None:
-        return EXIT_DOMAIN, None
     try:
         write_trajectory(traj, config.output_path, config.output_format)
     except OSError as err:
@@ -329,9 +323,6 @@ def _execute(config: RunConfig) -> tuple[int, Optional[Trajectory]]:
 
 def cmd_run(args) -> int:
     code, traj = _execute(_load_config(args.config))
-    if traj is None:
-        print("domain error: dynamic undefined at the initial state", file=sys.stderr)
-        return code
     print(json.dumps(summarize(traj)))
     return code
 
@@ -365,7 +356,10 @@ def cmd_sweep(args) -> int:
     configs = [_sweep_value(raw, config, args.param, v) for v in values]
     # the identity-escort reference of the deviation column, written nowhere
     identity = {**raw, "escort": {"family": "identity"}, "refs": None}
-    ref_traj = _integrate(RunConfig.from_dict(identity))
+    try:
+        ref_traj = _integrate(RunConfig.from_dict(identity))
+    except DomainError:
+        ref_traj = None
     runs = [_sweep_run(value, cfg, ref_traj) for value, cfg in zip(values, configs)]
     worst = max(run["exit_code"] for run in runs)
     print(json.dumps({"param": args.param, "runs": runs, "ok": worst == EXIT_OK}))
@@ -375,7 +369,10 @@ def cmd_sweep(args) -> int:
 def _sweep_run(value: float, config: RunConfig, ref_traj: Optional[Trajectory]) -> dict:
     """Run one sweep value and summarize it; the summary holds no trajectory,
     so a sweep keeps one value's trajectory at a time."""
-    code, traj = _execute(config)
+    try:
+        code, traj = _execute(config)
+    except DomainError:
+        code, traj = EXIT_DOMAIN, None
     deviation = None
     if traj is not None and ref_traj is not None:
         m = min(len(traj.states), len(ref_traj.states))
@@ -435,6 +432,9 @@ def main(argv=None) -> int:
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
+    except DomainError as err:
+        print(f"domain error: {err}", file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 def entrypoint() -> None:

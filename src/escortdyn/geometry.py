@@ -48,8 +48,8 @@ def _coerce_nonneg(v, name):
 
 def _closed_terms(phi: Escort, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Coordinatewise Bregman gaps via the family's closed forms, whose limits
-    at 0 give the gaps on the boundary."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    at 0 give the gaps on the boundary; a form beyond float range rounds to inf."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         terms = phi.log_antiderivative(a) - phi.log_antiderivative(b) - (a - b) * phi._log(b)
     # no gap, also at a = b = 0, where L(0) or log_phi(0) may be infinite
     terms[a == b] = 0.0

@@ -6,7 +6,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
 from .escorts import Escort, Power
-from .simplex import random_interior
+from .simplex import simplex_samples
 
 
 def _check_square(A):
@@ -87,11 +87,10 @@ class FitnessLandscape:
         """
         if self.potential is None:
             raise ConfigError("landscape declares no potential")
-        rng = np.random.default_rng(seed)
         h = 1e-6
         worst = 0.0
-        for _ in range(points):
-            x = random_interior(n, rng).coords
+        for xs in simplex_samples(n, points, seed):
+            x = xs.coords
             fx = self(x)
             for i in range(n):
                 e = np.zeros(n)

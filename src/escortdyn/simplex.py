@@ -1,6 +1,7 @@
 """Points of the probability simplex and validation helpers."""
 
 import math
+import random
 
 import numpy as np
 
@@ -84,10 +85,17 @@ def barycenter(n: int) -> SimplexPoint:
     return SimplexPoint(np.full(n, 1.0 / n))
 
 
-# a string annotation, so that importing escortdyn does not load numpy.random
-def random_interior(n: int, rng: "np.random.Generator") -> SimplexPoint:
-    """Draw a uniform (Dirichlet(1, ..., 1)) point of the open simplex."""
-    while True:
-        x = rng.dirichlet(np.ones(n))
-        if np.all(x > 0.0):
-            return SimplexPoint(x)
+def simplex_samples(n: int, count: int, seed: int = 0) -> list[SimplexPoint]:
+    """``count`` seeded uniform (Dirichlet(1, ..., 1)) points of the open simplex.
+
+    Each point normalizes n exponential spacings -log(1 - U) drawn from
+    ``random.Random(seed)``, whose ``random()`` stream Python keeps across
+    versions; a draw with a zero spacing is repeated.
+    """
+    rng = random.Random(seed)
+    points = []
+    while len(points) < count:
+        e = np.array([-math.log(1.0 - rng.random()) for _ in range(n)])
+        if np.all(e > 0.0):
+            points.append(SimplexPoint(e / e.sum()))
+    return points

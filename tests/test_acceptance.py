@@ -30,8 +30,8 @@ MEASURED = {
     "fisher_rate_gradient_flows": "5.585228963803212e-10",
     "nash_rest_points": "0.0",
     "orthogonal_projection_field": "0.0",
-    "exponential_escort_rest_point": "2.7755575615628914e-16",
-    "gauge_invariance": "2.3314683517128287e-15",
+    "exponential_escort_rest_point": "3.885780586188048e-16",
+    "gauge_invariance": "2.275957200481571e-15",
     "selection_intensity_time_change": "1.8818280267396403e-14",
     "formal_solution_agreement": "1.9984014443252818e-15",
     "q_to_one_ordering": "0.10985106579580545",

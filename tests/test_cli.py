@@ -332,6 +332,23 @@ class TestRunCommand:
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr, proc.stderr
 
+    @pytest.mark.parametrize(
+        "q, x0, refs, message",
+        [
+            # L_phi(1/3) ~ 3^930 / (930 * 931) overflows to inf, so the Lyapunov
+            # column at t = 0 is inf - inf: the diagnostic fails, not the dynamic
+            (932, [0.5, 0.3, 0.2], [1 / 3, 1 / 3, 1 / 3], "escort divergence undefined"),
+            (-1.0, [0.5, 0.5, 0.0], None, "u**q undefined at u = 0"),
+        ],
+    )
+    def test_domain_error_is_one_line_with_its_cause(self, tmp_path, monkeypatch, capsys, q, x0, refs, message):
+        monkeypatch.chdir(tmp_path)
+        path, _ = base_config(tmp_path, escort={"family": "power", "q": q}, x0=x0, refs=refs, t_end=0.1)
+        assert main(["run", "--config", str(path)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("domain error:") and message in err[0], err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("q", ["inf", "nan"])
     def test_non_finite_escort_parameter_exit_2(self, tmp_path, q):
         path, _ = base_config(tmp_path, escort={"family": "power", "q": q}, t_end=0.1)

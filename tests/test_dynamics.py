@@ -29,7 +29,7 @@ from escortdyn import (
     rsp_matrix,
     vector_field,
 )
-from escortdyn.analysis import simplex_samples
+from escortdyn.simplex import simplex_samples
 from escortdyn.dynamics import BLOCK_ROWS, _check_controls, _safe_integral
 from escortdyn.geometry import divergence_profile
 from escortdyn.suite import X0_CYCLE

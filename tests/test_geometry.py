@@ -20,7 +20,7 @@ from escortdyn import (
     geodesic_distance_identity,
     sphere_coordinate,
 )
-from escortdyn.analysis import simplex_samples
+from escortdyn.simplex import simplex_samples
 from escortdyn.geometry import _quadrature_terms, divergence_profile
 
 BARYCENTER = [1.0 / 3.0] * 3

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import escortdyn
+from escortdyn.simplex import SUM_TOL, simplex_samples
 
 
 def test_all_lists_exactly_the_public_names():
@@ -55,3 +56,32 @@ def test_import_loads_neither_numpy_random_nor_the_suite(module, absent):
     # runtime dependency, and scipy and hypothesis serve the tests alone
     probe = f"import sys, {module}; print([m for m in {absent!r} if m in sys.modules])"
     assert _run_fresh(probe) == "[]"
+
+
+def test_sampled_criteria_load_no_numpy_random():
+    # the suite's seeded states come from the stdlib sampler, so the criteria
+    # that draw them without a long run, and validate_potential, leave
+    # numpy.random unloaded
+    sampled = "nash_rest_points,orthogonal_projection_field,gauge_invariance,roundtrips_and_cross_checks,discrete_map_forms"
+    probe = (
+        "import sys, escortdyn.cli as cli; "
+        "from escortdyn.landscapes import builtin_landscape; "
+        f"assert cli.main(['paper-suite', '--only', {sampled!r}]) == 0; "
+        "builtin_landscape('neg_identity').validate_potential(3); "
+        "print('numpy.random' in sys.modules)"
+    )
+    assert _run_fresh(probe).splitlines()[-1] == "False"
+
+
+def test_simplex_samples_are_pinned_seeded_interior_points():
+    # the exponential-spacing stream of random.Random(seed), which Python keeps across versions
+    assert simplex_samples(3, 1, seed=0)[0].coords.tolist() == [
+        0.48643966542559314,
+        0.3708883441488609,
+        0.142671990425546,
+    ]
+    a, b = simplex_samples(5, 20, seed=3), simplex_samples(5, 20, seed=4)
+    assert a == simplex_samples(5, 20, seed=3)
+    assert all(x != y for x, y in zip(a, b))
+    for x in a + b:
+        assert x.interior and abs(float(x.coords.sum()) - 1.0) <= SUM_TOL
