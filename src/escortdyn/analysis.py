@@ -1,5 +1,6 @@
 """Verification utilities: rest points, ESS sampling, rate checks and integrals of motion."""
 
+import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -8,7 +9,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .escorts import Escort, _weighted_variance
 from .landscapes import FitnessLandscape
-from .simplex import SimplexPoint, _as_interior, as_simplex
+from .simplex import SimplexPoint, _as_interior, _uniform_points, as_simplex
 from .dynamics import _safe_integral, vector_field
 
 PASSED_SAMPLED = "passed_sampled"
@@ -52,14 +53,14 @@ def ess_check_sampled(
 ) -> ESSReport:
     """Sample the stability margin (x* - x) . f(x) over the simplex.
 
-    States are drawn Dirichlet(1, ..., 1), optionally rejected to the ball
-    ||x - x*|| <= radius. This is sampled evidence, not a certificate.
+    States are drawn Dirichlet(1, ..., 1) from ``random.Random(seed)`` (fresh
+    entropy for None), optionally rejected to the ball ||x - x*|| <= radius.
+    This is sampled evidence, not a certificate.
     """
     xs = _as_interior(x_star, "an ESS candidate")
     if num_samples < 1:
         raise ConfigError("num_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    n = xs.n
+    draws = _uniform_points(xs.n, random.Random(seed))
     margins = np.empty(num_samples)
     points = []
     attempts = 0
@@ -69,7 +70,7 @@ def ess_check_sampled(
         attempts += 1
         if attempts > limit:
             raise ConfigError(f"could not draw {num_samples} samples within radius {radius!r}")
-        x = rng.dirichlet(np.ones(n))
+        x = next(draws)
         if radius is not None and float(np.linalg.norm(x - xs.coords)) > radius:
             continue
         margins[i] = float((xs.coords - x) @ f(x))

@@ -28,16 +28,16 @@ import math
 import operator
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
 from .analysis import _rel_drift, monotone_nonincreasing
-from .dynamics import BLOCK_ROWS, Trajectory, _check_controls, integrate
+from .dynamics import BLOCK_ROWS, Run, Trajectory, _check_controls
 from .errors import ConfigError, DomainError, EscortError
 from .escorts import Constant, Escort, Exponential, Identity, Power, Scaled
-from .landscapes import BUILTIN_LANDSCAPES, FitnessLandscape, builtin_landscape
+from .landscapes import BUILTIN_LANDSCAPES, FitnessLandscape
 from .simplex import SimplexPoint
 
 EXIT_OK = 0
@@ -58,17 +58,11 @@ ESCORTS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A validated run configuration."""
+    """A validated run configuration: the run and where its trajectory goes."""
 
-    escort: dict
-    landscape: dict
-    x0: tuple
-    t_end: float
-    step: float
-    observe_every: int = 1
-    refs: Optional[tuple] = None
-    output_path: str = "trajectory.csv"
-    output_format: str = "csv"
+    run: Run
+    output_path: str
+    output_format: str
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
@@ -115,34 +109,21 @@ class RunConfig:
         fmt = out.get("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"output format must be csv or json, got {fmt!r}")
-        config = cls(escort, landscape, x0, t_end, step, observe_every, refs, out["path"], fmt)
         # the family constructors reject values such as q = inf, the landscape bad matrices
-        config.build_escort()
-        config.build_landscape()
-        return config
+        phi = ESCORTS[escort.pop("family")](**escort)
+        run = Run(phi, landscape, x0, t_end, step, observe_every, refs)
+        f = run.build_landscape()
+        try:
+            f(np.full(len(x0), 1.0 / len(x0)))
+        except EscortError as err:
+            raise ConfigError(f"landscape incompatible with x0 of length {len(x0)}: {err}")
+        return cls(run, out["path"], fmt)
 
     def build_escort(self) -> Escort:
-        cls = ESCORTS[self.escort["family"]]
-        return cls(**{k: v for k, v in self.escort.items() if k != "family"})
+        return self.run.phi
 
     def build_landscape(self) -> FitnessLandscape:
-        if "builtin" in self.landscape:
-            f = builtin_landscape(self.landscape["builtin"])
-        else:
-            A = np.array(self.landscape["matrix"], dtype=float)
-            form = self.landscape.get("form", "linear")
-            phi = self.build_escort()
-            if form == "linear":
-                f = FitnessLandscape.matrix_linear(A)
-            elif form == "escort":
-                f = FitnessLandscape.matrix_escort(A, phi)
-            else:
-                f = FitnessLandscape.matrix_escort_log(A, phi)
-        try:
-            f(np.full(len(self.x0), 1.0 / len(self.x0)))
-        except EscortError as err:
-            raise ConfigError(f"landscape incompatible with x0 of length {len(self.x0)}: {err}")
-        return f
+        return self.run.build_landscape()
 
 
 def _number(value, name) -> float:
@@ -183,7 +164,8 @@ def _escort_spec(raw) -> dict:
     return out
 
 
-def _norm_landscape(raw) -> dict:
+def _norm_landscape(raw):
+    """The landscape as ``Run`` takes it: a builtin name or a ``(form, rows)`` spec."""
     if not isinstance(raw, dict):
         raise ConfigError("landscape must be an object")
     if "builtin" in raw:
@@ -192,7 +174,7 @@ def _norm_landscape(raw) -> dict:
             raise ConfigError(f"unknown builtin landscape {name!r} (have {BUILTIN_LANDSCAPES})")
         if set(raw) - {"builtin"}:
             raise ConfigError("builtin landscapes take no other keys")
-        return {"builtin": name}
+        return name
     if "matrix" not in raw:
         raise ConfigError("landscape needs 'builtin' or 'matrix'")
     matrix = raw["matrix"]
@@ -209,7 +191,7 @@ def _norm_landscape(raw) -> dict:
         raise ConfigError(f"unknown landscape form {form!r}")
     if set(raw) - {"matrix", "form"}:
         raise ConfigError("landscape takes only 'matrix' and 'form'")
-    return {"matrix": tuple(rows), "form": form}
+    return form, tuple(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +250,18 @@ def summarize(traj: Trajectory) -> dict:
         finite = traj.lyapunov[np.isfinite(traj.lyapunov)]
         if finite.size >= 2:  # fewer finite entries are no evidence either way
             lyap_monotone = monotone_nonincreasing(finite)
-    return {
-        "status": traj.termination.kind,
+    term = traj.termination
+    summary = {
+        "status": term.kind,
         "t_final": float(traj.times[-1]),
         "x_final": [float(v) for v in traj.states[-1]],
         "drift_product": _json_float(drift_product),
         "drift_integral": _json_float(drift_integral),
         "lyapunov_monotone": lyap_monotone,
     }
+    if not term.ok:
+        summary["stop"] = {"time": term.time, "index": term.index, "reason": term.reason}
+    return summary
 
 
 # ---------------------------------------------------------------------------
@@ -297,18 +283,10 @@ def _load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(_read_json(path))
 
 
-def _integrate(config: RunConfig) -> Trajectory:
-    """The config's trajectory; DomainError when the dynamic or a diagnostic
-    is undefined at the initial state."""
-    ref = None if config.refs is None else np.array(config.refs)
-    return integrate(
-        config.build_escort(), config.build_landscape(), np.array(config.x0), config.t_end,
-        config.step, observe_every=config.observe_every, ref=ref,
-    )
-
-
 def _execute(config: RunConfig) -> tuple[int, Trajectory]:
-    traj = _integrate(config)
+    """Integrate and write the config's run; DomainError when the dynamic or a
+    diagnostic is undefined at the initial state."""
+    traj = config.run.integrate()
     try:
         write_trajectory(traj, config.output_path, config.output_format)
     except OSError as err:
@@ -342,9 +320,9 @@ def _sweep_value(raw: dict, config: RunConfig, param: str, value: float) -> RunC
 def cmd_sweep(args) -> int:
     raw = _read_json(args.config)
     config = RunConfig.from_dict(raw)
-    family = config.escort["family"]
-    if args.param not in config.escort.keys() - {"family"}:
-        raise ConfigError(f"the {family} escort has no parameter {args.param!r} to sweep")
+    escort = _escort_spec(raw["escort"])
+    if args.param not in escort.keys() - {"family"}:
+        raise ConfigError(f"the {escort['family']} escort has no parameter {args.param!r} to sweep")
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError:
@@ -355,9 +333,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"sweep values must be distinct, got {args.values!r}")
     configs = [_sweep_value(raw, config, args.param, v) for v in values]
     # the identity-escort reference of the deviation column, written nowhere
-    identity = {**raw, "escort": {"family": "identity"}, "refs": None}
     try:
-        ref_traj = _integrate(RunConfig.from_dict(identity))
+        ref_traj = replace(config.run, phi=Identity(), ref=None).integrate()
     except DomainError:
         ref_traj = None
     runs = [_sweep_run(value, cfg, ref_traj) for value, cfg in zip(values, configs)]

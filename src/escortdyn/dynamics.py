@@ -11,15 +11,15 @@ integrator reports boundary exits instead of clamping.
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, PositivityError
 from .escorts import Escort, _weighted_mean
 from .geometry import divergence_profile
-from .landscapes import FitnessLandscape
+from .landscapes import FitnessLandscape, builtin_landscape
 from .simplex import SimplexPoint, _as_interior, as_simplex
 
 DEFAULT_STEP = 1e-3
@@ -35,18 +35,19 @@ class Termination:
     kind: str  # "completed" | "boundary_exit" | "step_failure"
     time: Optional[float] = None
     index: Optional[int] = None
+    reason: Optional[str] = field(default=None, compare=False)  # why a run that did not complete stopped
 
     @classmethod
     def completed(cls):
         return cls("completed")
 
     @classmethod
-    def boundary_exit(cls, t, index):
-        return cls("boundary_exit", time=t, index=index)
+    def boundary_exit(cls, t, index, reason):
+        return cls("boundary_exit", time=t, index=index, reason=reason)
 
     @classmethod
-    def step_failure(cls, t):
-        return cls("step_failure", time=t)
+    def step_failure(cls, t, reason):
+        return cls("step_failure", time=t, reason=reason)
 
     @property
     def ok(self):
@@ -238,7 +239,7 @@ def _march(rhs, y, h, n_steps, observe_every, accept=None):
                 break
             k1 = rhs(y_new)  # accepting y_new: the next step's first stage
         except stops as err:
-            termination = Termination.boundary_exit(t, err.index)
+            termination = Termination.boundary_exit(t, err.index, str(err))
             break
         y, t, sample = y_new, t_new, rhs.sample  # the next step's stages overwrite rhs.sample
         if (k + 1) % observe_every == 0:
@@ -267,7 +268,8 @@ def integrate(
     trajectory ends with a ``boundary_exit`` termination; non-finite
     states end it with ``step_failure``. A state where the field raises
     DomainError is not accepted: the run ends with ``boundary_exit`` at the
-    last accepted state, which is recorded.
+    last accepted state, which is recorded. The termination's ``reason``
+    says why; as every non-finite value ends the run, the steps do not warn.
     """
     n_steps, observe_every = _check_controls(t_end, step, observe_every)
     x = as_simplex(x0).coords.copy()
@@ -285,17 +287,66 @@ def integrate(
         total = math.nan if outside else np.add.reduce(x_new)
         if not math.isfinite(total):
             if not np.isfinite(x_new).all():
-                return Termination.step_failure(t_new)
+                return Termination.step_failure(t_new, "non-finite state")
             if outside:
                 bad = (x_new <= 0.0) if strict else (x_new < 0.0)
-                return Termination.boundary_exit(t_new, int(bad.argmax()))
+                i = int(bad.argmax())
+                return Termination.boundary_exit(t_new, i, f"entry {float(x_new[i])!r} left the domain")
         if abs(total - 1.0) > DRIFT_TOL:
             x_new /= total
 
     field = _make_field(phi, f)
-    times, states, means, termination = _march(field, x, float(step), n_steps, observe_every, accept)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value ends the run
+        times, states, means, termination = _march(field, x, float(step), n_steps, observe_every, accept)
     lyap, integral = (None, None) if ref is None else _diagnostics(phi, ref, states)
     return Trajectory(times, states, means, lyap, integral, termination)
+
+
+# ---------------------------------------------------------------------------
+# Run descriptions
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Run:
+    """One trajectory as data: what ``run``, ``sweep`` and the suite integrate.
+
+    The escort ``phi`` (the closed families are frozen dataclasses, so equal
+    escorts make equal runs) on ``landscape``, a builtin name or a ``(form,
+    rows)`` matrix spec: f = A x (``linear``), A phi(x) (``escort``) or A
+    log_phi(x) (``escort_log``). ``ref`` adds the diagnostics against that
+    point; a ``formal`` run integrates the formal solution exp_phi(v - G).
+    """
+
+    phi: Escort
+    landscape: Union[str, tuple]
+    x0: tuple
+    t_end: float
+    step: float = DEFAULT_STEP
+    observe_every: int = 1
+    ref: Optional[tuple] = None
+    formal: bool = False
+
+    @property
+    def steps(self) -> int:
+        return round(self.t_end / self.step)
+
+    def build_landscape(self) -> FitnessLandscape:
+        if isinstance(self.landscape, str):
+            return builtin_landscape(self.landscape)
+        form, rows = self.landscape
+        if form == "linear":
+            return FitnessLandscape.matrix_linear(rows)
+        if form == "escort":
+            return FitnessLandscape.matrix_escort(rows, self.phi)
+        return FitnessLandscape.matrix_escort_log(rows, self.phi)
+
+    def integrate(self) -> Trajectory:
+        args = (self.phi, self.build_landscape(), np.array(self.x0), self.t_end, self.step)
+        if self.formal:
+            return integrate_formal_solution(*args, observe_every=self.observe_every)
+        ref = None if self.ref is None else np.array(self.ref)
+        return integrate(*args, observe_every=self.observe_every, ref=ref)
 
 
 # ---------------------------------------------------------------------------

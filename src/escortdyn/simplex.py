@@ -2,6 +2,7 @@
 
 import math
 import random
+from itertools import islice
 
 import numpy as np
 
@@ -85,17 +86,18 @@ def barycenter(n: int) -> SimplexPoint:
     return SimplexPoint(np.full(n, 1.0 / n))
 
 
-def simplex_samples(n: int, count: int, seed: int = 0) -> list[SimplexPoint]:
-    """``count`` seeded uniform (Dirichlet(1, ..., 1)) points of the open simplex.
-
-    Each point normalizes n exponential spacings -log(1 - U) drawn from
-    ``random.Random(seed)``, whose ``random()`` stream Python keeps across
-    versions; a draw with a zero spacing is repeated.
-    """
-    rng = random.Random(seed)
-    points = []
-    while len(points) < count:
+def _uniform_points(n: int, rng: random.Random):
+    """Endless uniform (Dirichlet(1, ..., 1)) points of the open simplex as
+    arrays: each normalizes n exponential spacings -log(1 - U) drawn from
+    ``rng``; a draw with a zero spacing is repeated."""
+    while True:
         e = np.array([-math.log(1.0 - rng.random()) for _ in range(n)])
         if np.all(e > 0.0):
-            points.append(SimplexPoint(e / e.sum()))
-    return points
+            yield e / e.sum()
+
+
+def simplex_samples(n: int, count: int, seed: int = 0) -> list[SimplexPoint]:
+    """``count`` seeded uniform points of the open simplex (``_uniform_points``),
+    drawn from ``random.Random(seed)``, whose ``random()`` stream Python keeps
+    across versions."""
+    return [SimplexPoint(x) for x in islice(_uniform_points(n, random.Random(seed)), count)]

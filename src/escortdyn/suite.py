@@ -6,7 +6,7 @@ normalize each part by its own bound and report the worst ratio against a
 tolerance of 1. The suite is deterministic: sampled states use fixed seeds
 and the integrator is a fixed-step method.
 
-A criterion declares the trajectories it needs as ``Run`` data.
+A criterion declares the trajectories it needs as ``dynamics.Run`` data.
 ``run_suite`` collects the selected criteria's runs, drops duplicates and
 integrates the rest across the CPUs this process may use, one forked child
 per share beyond the first; each criterion then reads its trajectories from
@@ -27,12 +27,11 @@ import numpy as np
 
 from .analysis import _rel_drift, fisher_rate
 from .dynamics import (
+    Run,
     Trajectory,
     _make_field,
     _rk4_step,
     discrete_step,
-    integrate,
-    integrate_formal_solution,
     vector_field,
 )
 from .errors import ConfigError
@@ -51,7 +50,7 @@ from .simplex import barycenter, simplex_samples
 
 X0_CYCLE = (0.5, 0.3, 0.2)  # starting state for the cyclic-game runs
 X0_GRADIENT = (0.6, 0.3, 0.1)  # starting state for the gradient flows
-STEP = 1e-3
+BARYCENTER_3 = (1 / 3, 1 / 3, 1 / 3)
 
 
 @dataclass(frozen=True)
@@ -78,46 +77,7 @@ class Criterion:
                                bool(passed), note)
 
 
-RSP_ESCORT = "rsp_escort"  # the landscape f = A phi(x): RSP matrix A, the run's escort phi
-
-
-@dataclass(frozen=True)
-class Run:
-    """One trajectory a criterion needs, as data.
-
-    The escort ``phi`` (the closed families are frozen dataclasses, so equal
-    escorts make equal runs) on the builtin landscape named ``landscape``,
-    or on f = A phi(x) for ``RSP_ESCORT``, from ``x0`` to ``t_end`` at the
-    suite's STEP. ``with_ref`` adds the diagnostics against the barycenter;
-    a ``formal`` run integrates the formal solution exp_phi(v - G) instead.
-    """
-
-    phi: Escort
-    landscape: str
-    x0: tuple
-    t_end: float
-    observe_every: int
-    with_ref: bool = False
-    formal: bool = False
-
-    @property
-    def steps(self) -> int:
-        return round(self.t_end / STEP)
-
-    def integrate(self) -> Trajectory:
-        if self.landscape == RSP_ESCORT:
-            f = FitnessLandscape.matrix_escort(rsp_matrix(), self.phi)
-        else:
-            f = builtin_landscape(self.landscape)
-        x0 = np.array(self.x0)
-        if self.formal:
-            return integrate_formal_solution(
-                self.phi, f, x0, self.t_end, STEP, observe_every=self.observe_every
-            )
-        ref = barycenter(len(self.x0)) if self.with_ref else None
-        return integrate(
-            self.phi, f, x0, self.t_end, STEP, observe_every=self.observe_every, ref=ref
-        )
+RSP_ESCORT = ("escort", tuple(map(tuple, rsp_matrix().tolist())))  # f = A phi(x), A the RSP matrix
 
 
 _CacheInfo = namedtuple("CacheInfo", "misses")
@@ -177,7 +137,7 @@ def _c03_general_integral(tol, *trajectories):
 
 
 _GRADIENT_RUNS = tuple(
-    Run(phi, "neg_identity", X0_GRADIENT, 50.0, 1, with_ref=True)
+    Run(phi, "neg_identity", X0_GRADIENT, 50.0, ref=BARYCENTER_3)
     for phi in (Identity(), Power(0.5), Power(2), Constant(1.0))
 )
 
@@ -389,21 +349,22 @@ CRITERIA = [
         "replicator RSP orbit conserves x1*x2*x3",
         1e-6,
         _c01_rsp_product,
-        (Run(Identity(), "rsp", X0_CYCLE, 100.0, 100),),
+        (Run(Identity(), "rsp", X0_CYCLE, 100.0, observe_every=100),),
     ),
     Criterion(
         "poincare_inverse_sum",
         "quadratic escort conserves 1/x1 + 1/x2 + 1/x3",
         1e-5,
         _c02_poincare,
-        (Run(Power(2), RSP_ESCORT, X0_CYCLE, 100.0, 100),),
+        (Run(Power(2), RSP_ESCORT, X0_CYCLE, 100.0, observe_every=100),),
     ),
     Criterion(
         "general_integral_of_motion",
         "sum x*_i log_phi(x_i) conserved for q in {0.5, 3}",
         1e-5,
         _c03_general_integral,
-        tuple(Run(Power(q), RSP_ESCORT, X0_CYCLE, 100.0, 100, with_ref=True) for q in (0.5, 3.0)),
+        tuple(Run(Power(q), RSP_ESCORT, X0_CYCLE, 100.0, observe_every=100, ref=BARYCENTER_3)
+              for q in (0.5, 3.0)),
     ),
     Criterion(
         "lyapunov_monotonicity",
@@ -436,7 +397,7 @@ CRITERIA = [
         "exp escort with f = e^-x fixes the barycenter",
         1.0,
         _c08_exponential_rest,
-        (Run(Exponential(), "exp_decay", (1 / 3, 1 / 3, 1 / 3), 10.0, 100),),
+        (Run(Exponential(), "exp_decay", BARYCENTER_3, 10.0, observe_every=100),),
     ),
     Criterion(
         "gauge_invariance",
@@ -449,7 +410,8 @@ CRITERIA = [
         "Scaled(2) trajectory is the replicator at doubled speed",
         1e-6,
         _c10_time_change,
-        (Run(Scaled(2.0), "rsp", X0_CYCLE, 10.0, 10), Run(Identity(), "rsp", X0_CYCLE, 20.0, 10)),
+        (Run(Scaled(2.0), "rsp", X0_CYCLE, 10.0, observe_every=10),
+         Run(Identity(), "rsp", X0_CYCLE, 20.0, observe_every=10)),
     ),
     Criterion(
         "formal_solution_agreement",
@@ -457,7 +419,7 @@ CRITERIA = [
         1e-5,
         _c11_formal_solution,
         tuple(
-            Run(phi, "rsp", X0_CYCLE, 5.0, 10, formal=formal)
+            Run(phi, "rsp", X0_CYCLE, 5.0, observe_every=10, formal=formal)
             for phi in (Identity(), Power(2))
             for formal in (False, True)
         ),
@@ -468,7 +430,7 @@ CRITERIA = [
         1.0,
         _c12_q_ordering,
         tuple(
-            Run(phi, "rsp", X0_CYCLE, 10.0, 10)
+            Run(phi, "rsp", X0_CYCLE, 10.0, observe_every=10)
             for phi in (Identity(), Power(1.1), Power(1.01), Power(1.001))
         ),
     ),

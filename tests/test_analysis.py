@@ -32,6 +32,7 @@ from escortdyn.analysis import _rel_drift
 from escortdyn.simplex import simplex_samples
 from escortdyn.dynamics import _make_field
 from escortdyn.geometry import divergence_profile
+from escortdyn.suite import _fd_potential_rate
 from escortdyn.landscapes import FitnessLandscape
 
 RSP = builtin_landscape("rsp")
@@ -160,6 +161,35 @@ class TestFisherRate:
     def test_requires_declared_potential(self):
         with pytest.raises(ConfigError):
             fisher_rate(Identity(), RSP, [0.5, 0.3, 0.2])
+
+
+class TestGradientFlowsBeyondThreeTypes:
+    """The suite's Lyapunov (c04) and Fisher-rate (c05) checks, with their
+    bounds, on f = -x at n = 5, 10 and 30 from near the barycenter."""
+
+    @staticmethod
+    def flow(phi, f, n):
+        x_star = barycenter(n).coords
+        x0 = 0.8 * x_star + 0.2 * simplex_samples(n, 1, seed=n)[0].coords
+        tr = integrate(phi, f, x0, t_end=5.0, step=0.01, ref=x_star)
+        assert tr.termination.ok
+        return tr
+
+    @pytest.mark.parametrize("n", [5, 10, 30])
+    @pytest.mark.parametrize("phi", GRADIENT_ESCORTS)
+    def test_divergence_decays_and_rate_is_the_potential_rate(self, phi, n):
+        tr = self.flow(phi, NEG, n)
+        assert np.max(np.diff(tr.lyapunov)) <= 1e-10
+        for i in range(10, 210, 10):  # t = 0.1, 0.2, ..., 2.0
+            x = tr.states[i]
+            rate, fd = fisher_rate(phi, NEG, x), _fd_potential_rate(phi, NEG, x)
+            assert abs(rate - fd) / max(abs(rate), abs(fd)) <= 1e-6
+
+    @pytest.mark.parametrize("n", [5, 10, 30])
+    def test_divergence_rises_away_from_a_potential_minimum(self, n):
+        # f = x ascends V = |x|^2 / 2, whose minimum on the simplex is the barycenter
+        up = FitnessLandscape.custom(lambda x: x, potential=lambda x: 0.5 * float(np.dot(x, x)), name="up")
+        assert np.min(np.diff(self.flow(Identity(), up, n).lyapunov)) > 0.0
 
 
 class TestIntegralOfMotion:

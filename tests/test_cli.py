@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from escortdyn import Constant
 from escortdyn.cli import RunConfig, main
 from escortdyn import suite
 
@@ -101,14 +102,14 @@ class TestRunConfig:
 
     def test_family_defaults_come_from_the_class(self, tmp_path):
         _, raw = base_config(tmp_path, escort={"family": "constant"})
-        assert RunConfig.from_dict(raw).escort == {"family": "constant", "c": 1.0}
+        assert RunConfig.from_dict(raw).run.phi == Constant(1.0)
 
     def test_flat_matrix_accepted(self, tmp_path):
         _, raw = base_config(
             tmp_path, landscape={"matrix": [0.0, 1.0, 1.0, 0.0]}, x0=[0.5, 0.5], refs=None
         )
         cfg = RunConfig.from_dict(raw)
-        assert cfg.landscape["matrix"] == ((0.0, 1.0), (1.0, 0.0))
+        assert cfg.run.landscape == ("linear", ((0.0, 1.0), (1.0, 0.0)))
 
     @pytest.mark.parametrize(
         "patch",
@@ -348,6 +349,29 @@ class TestRunCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("domain error:") and message in err[0], err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "escort, landscape, stop",
+        [
+            # the first step's stages go below zero, where u**-35 is undefined
+            ({"family": "power", "q": -35.0}, {"builtin": "rsp"},
+             {"time": 0.0, "index": 1, "reason": "negative entry -499684404739168.8"}),
+            # the first stage leaves float range: exp overflows, then the fitness
+            ({"family": "exponential"}, {"matrix": [[1e308, 0, 0], [0, 1e308, 0], [0, 0, 1e308]]},
+             {"time": 0.0, "index": None, "reason": "landscape returned non-finite fitness"}),
+        ],
+    )
+    def test_a_stopped_run_says_why_and_prints_no_warning(
+        self, tmp_path, monkeypatch, capsys, escort, landscape, stop
+    ):
+        monkeypatch.chdir(tmp_path)
+        path, _ = base_config(tmp_path, escort=escort, landscape=landscape, refs=None)
+        assert main(["run", "--config", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert err == ""
+        summary = json.loads(out)
+        assert summary["status"] == "boundary_exit"
+        assert summary["stop"] == stop
 
     @pytest.mark.parametrize("q", ["inf", "nan"])
     def test_non_finite_escort_parameter_exit_2(self, tmp_path, q):

@@ -493,9 +493,11 @@ def _failing_at_one_state(values):
 
 class TestFailurePathWarnings:
     """The scalar tests send failures to the elementwise pass, which must not
-    warn; only fitness that mixes +inf and -inf (or is +inf at a zero weight)
-    warns, in ``w @ fx``, and under warnings-as-errors that still ends in the
-    landscape's DomainError."""
+    warn. Fitness that mixes +inf and -inf (or is +inf at a zero weight) and a
+    step that overflows make non-finite values inside ``integrate``, which end
+    the run with its termination and raise no warning; outside it, ``w @ fx``
+    warns, and under warnings-as-errors that still ends in the landscape's
+    DomainError."""
 
     @pytest.mark.parametrize("value", [np.inf, np.nan])
     def test_non_finite_landscape(self, value):
@@ -543,14 +545,16 @@ class TestFailurePathWarnings:
     def test_overflowing_step_ends_the_run(self):
         # the RK4 sum of the first step's stages overflows: a non-finite state ends the run
         land = FitnessLandscape.custom(lambda x: np.array([1e308, -1e308, 0.0]), name="huge")
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             tr = integrate(Constant(1.0), land, [0.4, 0.3, 0.3], t_end=1.0, step=1e-3)
         assert tr.termination == Termination("step_failure", time=0.001)
         assert tr.states.tolist() == [[0.4, 0.3, 0.3]]
 
-    def test_mixed_infinite_fitness_warns_then_ends_the_run(self):
+    def test_mixed_infinite_fitness_ends_the_run(self):
         land = _failing_at_one_state([np.inf, -np.inf, 0.0])
-        with pytest.warns(RuntimeWarning, match="invalid value encountered in matmul"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             tr = integrate(Identity(), land, [0.5, 0.3, 0.2], t_end=0.01, step=1e-3)
         assert tr.termination == Termination("boundary_exit", time=0.004, index=None)
 

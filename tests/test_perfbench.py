@@ -1,12 +1,14 @@
-"""One unit of each gated benchmark workload, run in this process.
+"""The traced gate of each gated benchmark workload, run in this process.
 
 ``perfbench/`` drives the library through its public functions and a few
 private entry points (``RunConfig.build_escort``, ``suite.clear_cache``,
 ``suite._traj.cache_info()``). A change that drops one of them fails here,
 before a benchmark run. The workloads named in ``BENCHMARK.json`` are the
-gated ones; each unit must pass its own checks and leave no child process,
-untraced and under the benchmark's span tracer, which wraps ``weights``,
-``log`` and ``exp`` on each escort class that defines them.
+gated ones; each passes the benchmark's traced gate (``run.py --trace 1``):
+one untraced and two traced units in one process, each passing its own
+checks, the counts that must repeat equal between the two traced units, and
+no child process left. The span tracer wraps ``weights``, ``log`` and ``exp``
+on each escort class that defines them.
 """
 
 import json
@@ -31,32 +33,19 @@ def workloads(monkeypatch):
     return workloads
 
 
-def run_unit(workloads, tmp_path, name, tracer=None):
-    """One unit of workload ``name``: it must pass its checks and leave no child process."""
+@pytest.mark.parametrize("name", GATED)
+def test_traced_run_passes_its_gate(workloads, tmp_path, name):
+    """``run.py --trace 1`` in process: one untraced and two traced units, each
+    passing its checks, with equal repeated counts and no child left."""
+    import run
+
     unit = workloads.WORKLOADS[name](random.Random(1), str(tmp_path))
     try:
-        result = unit.run_inprocess(tracer)
+        values, attempted, failed, repeat, _ = run.traced(unit)
     finally:
         suite.clear_cache()  # paper_suite fills the trajectory cache
-    assert unit.check(result) == (unit.operations, 0)
+    assert (attempted, failed) == (3 * unit.operations, 0)
+    assert repeat
+    assert values["escorts.weights_calls"] > 0 and values["dynamics.integrate_calls"] > 0
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.mark.parametrize("name", GATED)
-def test_one_unit_passes_its_checks(workloads, tmp_path, name):
-    run_unit(workloads, tmp_path, name)
-
-
-@pytest.mark.parametrize("name", GATED)
-def test_one_traced_unit_passes_its_checks(workloads, tmp_path, name):
-    from tracer import Tracer
-
-    tracer = Tracer()
-    tracer.install()
-    try:
-        run_unit(workloads, tmp_path, name, tracer)
-    finally:
-        tracer.uninstall()
-    spans = tracer.spans()
-    assert spans["escorts.weights"][0] > 0 and spans["dynamics.integrate"][0] > 0

@@ -16,13 +16,14 @@ from escortdyn import suite
 from escortdyn.errors import DomainError
 from escortdyn.landscapes import FitnessLandscape
 from escortdyn.escorts import Identity, Power
-from escortdyn.suite import RSP_ESCORT, X0_CYCLE, Run
+from escortdyn.dynamics import Run
+from escortdyn.suite import BARYCENTER_3, RSP_ESCORT, X0_CYCLE
 
 RUNS = (
-    Run(Identity(), "rsp", X0_CYCLE, 0.5, 10),
-    Run(Power(2), RSP_ESCORT, X0_CYCLE, 0.4, 10, with_ref=True),
-    Run(Power(2), "rsp", X0_CYCLE, 0.3, 10, formal=True),
-    Run(Power(0.5), "neg_identity", (0.6, 0.3, 0.1), 0.2, 1, with_ref=True),
+    Run(Identity(), "rsp", X0_CYCLE, 0.5, observe_every=10),
+    Run(Power(2), RSP_ESCORT, X0_CYCLE, 0.4, observe_every=10, ref=BARYCENTER_3),
+    Run(Power(2), "rsp", X0_CYCLE, 0.3, observe_every=10, formal=True),
+    Run(Power(0.5), "neg_identity", (0.6, 0.3, 0.1), 0.2, observe_every=1, ref=BARYCENTER_3),
 )
 FIELDS = ("times", "states", "mean_fitness", "lyapunov", "integral_of_motion")
 
