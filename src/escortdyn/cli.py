@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import _rel_drift, monotone_nonincreasing
-from .dynamics import BLOCK_ROWS, Run, Trajectory, _check_controls
+from .dynamics import BLOCK_ROWS, Run, Trajectory, _check_controls, run_all
 from .errors import ConfigError, DomainError, EscortError
 from .escorts import Constant, Escort, Exponential, Identity, Power, Scaled
 from .landscapes import BUILTIN_LANDSCAPES, FitnessLandscape
@@ -332,12 +332,13 @@ def cmd_sweep(args) -> int:
     if len(set(values)) != len(values):
         raise ConfigError(f"sweep values must be distinct, got {args.values!r}")
     configs = [_sweep_value(raw, config, args.param, v) for v in values]
-    # the identity-escort reference of the deviation column, written nowhere
+    # the identity-escort reference of the deviation column, written nowhere and inherited by each child
     try:
         ref_traj = replace(config.run, phi=Identity(), ref=None).integrate()
     except DomainError:
         ref_traj = None
-    runs = [_sweep_run(value, cfg, ref_traj) for value, cfg in zip(values, configs)]
+    by_run = {cfg.run: (value, cfg) for value, cfg in zip(values, configs)}  # distinct values, distinct runs
+    runs, _ = run_all(lambda run: _sweep_run(*by_run[run], ref_traj), list(by_run))
     worst = max(run["exit_code"] for run in runs)
     print(json.dumps({"param": args.param, "runs": runs, "ok": worst == EXIT_OK}))
     return worst
@@ -345,7 +346,7 @@ def cmd_sweep(args) -> int:
 
 def _sweep_run(value: float, config: RunConfig, ref_traj: Optional[Trajectory]) -> dict:
     """Run one sweep value and summarize it; the summary holds no trajectory,
-    so a sweep keeps one value's trajectory at a time."""
+    so each process of a sweep keeps one value's trajectory at a time."""
     try:
         code, traj = _execute(config)
     except DomainError:

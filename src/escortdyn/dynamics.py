@@ -11,6 +11,9 @@ integrator reports boundary exits instead of clamping.
 
 import math
 import operator
+import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -303,7 +306,7 @@ def integrate(
 
 
 # ---------------------------------------------------------------------------
-# Run descriptions
+# Run descriptions and their executor
 # ---------------------------------------------------------------------------
 
 
@@ -347,6 +350,99 @@ class Run:
             return integrate_formal_solution(*args, observe_every=self.observe_every)
         ref = None if self.ref is None else np.array(self.ref)
         return integrate(*args, observe_every=self.observe_every, ref=ref)
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _shares(runs, k):
+    """Split ``runs`` into ``k`` shares: each run, most RK4 steps first, goes
+    to the share with the fewest steps so far (the first such on a tie)."""
+    shares = [[] for _ in range(k)]
+    loads = [0] * k
+    for run in sorted(runs, key=lambda r: -r.steps):
+        i = loads.index(min(loads))
+        shares[i].append(run)
+        loads[i] += run.steps
+    return shares
+
+
+def _run_share(fn, share) -> dict:
+    """{index in share: fn(run)} for the runs of ``share`` where ``fn`` does not raise."""
+    done = {}
+    for i, run in enumerate(share):
+        try:
+            done[i] = fn(run)
+        except Exception:
+            pass
+    return done
+
+
+def _fork_share(fn, share):
+    """Start a child that applies ``fn`` to ``share`` and pickles the result of
+    ``_run_share`` back over a pipe; returns (pid, read end), or None when no
+    process can be started."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # the share's runs are done in this process
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:  # the child never returns into the caller's frames
+        code = 1
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as out:
+                pickle.dump(_run_share(fn, share), out, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    return pid, r
+
+
+def _read_share(fd) -> dict:
+    """A child's result, or {} when it died or sent something unreadable."""
+    try:
+        with os.fdopen(fd, "rb", closefd=False) as fh:
+            done = pickle.load(fh)
+    except Exception:
+        return {}
+    return done if isinstance(done, dict) else {}
+
+
+def run_all(fn, runs) -> tuple[list, int]:
+    """``[fn(run) for run in runs]``, and the number of processes that took part.
+
+    The runs are split into k = min(usable CPUs, runs) shares (one without
+    ``os.fork``) by RK4 steps, a split fixed by the runs and k alone; this
+    process does share 0 and a forked child each other share, pickling its
+    results back. A run whose ``fn`` raised, or whose child could not start,
+    died or sent unreadable data, is done again here, in order, and raises as
+    it would serially. Equal runs give one result.
+    """
+    k = min(_usable_cpus(), len(runs)) if hasattr(os, "fork") else min(1, len(runs))
+    shares = _shares(runs, k)
+    children = []  # (pid, read end, share) of the children not yet reaped
+    try:
+        for share in shares[1:]:
+            child = _fork_share(fn, share)
+            if child is not None:
+                children.append((*child, share))
+        results = [(shares[0], _run_share(fn, shares[0]))] if shares else []
+        results += [(share, _read_share(fd)) for _, fd, share in children]
+    finally:
+        for pid, fd, _ in children:
+            os.kill(pid, signal.SIGKILL)  # a no-op for a child that has exited
+            os.waitpid(pid, 0)
+            os.close(fd)
+    done = {share[i]: result for share, part in results for i, result in part.items()}
+    return [done[run] if run in done else fn(run) for run in runs], min(k, 1) + len(children)
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,13 @@ and the integrator is a fixed-step method.
 
 A criterion declares the trajectories it needs as ``dynamics.Run`` data.
 ``run_suite`` collects the selected criteria's runs, drops duplicates and
-integrates the rest across the CPUs this process may use, one forked child
-per share beyond the first; each criterion then reads its trajectories from
-the cache. The plan changes where a run is integrated, never its result.
+integrates the rest across the CPUs this process may use (``dynamics.run_all``);
+each criterion then reads its trajectories from the cache. The plan changes
+where a run is integrated, never its result.
 """
 
 import math
-import os
-import pickle
 import random
-import signal
 import time
 from collections import namedtuple
 from dataclasses import dataclass
@@ -32,6 +29,7 @@ from .dynamics import (
     _make_field,
     _rk4_step,
     discrete_step,
+    run_all,
     vector_field,
 )
 from .errors import ConfigError
@@ -97,14 +95,14 @@ class _TrajectoryCache:
     def cache_info(self) -> _CacheInfo:
         return _CacheInfo(self.misses)
 
-    def add(self, run, trajectory):
-        self.store[run] = trajectory
-        self.misses += 1
+    def add(self, runs, trajectories):
+        self.store.update(zip(runs, trajectories))
+        self.misses += len(runs)
 
     def __call__(self, run) -> Trajectory:
         """The trajectory of ``run``, integrated here if no plan left it."""
         if run not in self.store:
-            self.add(run, run.integrate())
+            self.add([run], [run.integrate()])
         return self.store[run]
 
 
@@ -477,102 +475,12 @@ def plan(criteria) -> list[Run]:
     return list(dict.fromkeys(run for c in criteria for run in c.runs))
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _shares(runs, k):
-    """Split ``runs`` into ``k`` shares: each run, most RK4 steps first, goes
-    to the share with the fewest steps so far (the first such on a tie)."""
-    shares = [[] for _ in range(k)]
-    loads = [0] * k
-    for run in sorted(runs, key=lambda r: -r.steps):
-        i = loads.index(min(loads))
-        shares[i].append(run)
-        loads[i] += run.steps
-    return shares
-
-
-def _integrate_share(share) -> dict:
-    """{index in share: trajectory} for the runs that integrate without raising.
-    A run left out is integrated again when its criterion asks for it, and
-    raises there as it would in a serial suite."""
-    done = {}
-    for i, run in enumerate(share):
-        try:
-            done[i] = run.integrate()
-        except Exception:
-            pass
-    return done
-
-
-def _fork_share(share):
-    """Start a child that integrates ``share`` and pickles the result of
-    ``_integrate_share`` back over a pipe; returns (pid, read end), or None
-    when no process can be started."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # the share's runs stay uncached
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:  # the child never returns into the caller's frames
-        code = 1
-        try:
-            os.close(r)
-            with os.fdopen(w, "wb") as out:
-                pickle.dump(_integrate_share(share), out, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
-def _read_share(fd) -> dict:
-    """A child's result, or {} when it died or sent something unreadable."""
-    try:
-        with os.fdopen(fd, "rb", closefd=False) as fh:
-            done = pickle.load(fh)
-    except Exception:
-        return {}
-    return done if isinstance(done, dict) else {}
-
-
 def integrate_runs(runs) -> PlanReport:
-    """Integrate the ``runs`` not yet cached, across the usable CPUs.
-
-    The runs are split into k = min(usable CPUs, runs) shares by RK4 steps.
-    Shares 1..k-1 go to forked children; this process integrates share 0,
-    then reads the children's trajectories and reaps them. With k = 1, or
-    without ``os.fork``, no process is started. A run that raised, or whose
-    child could not start, died or sent unreadable data, stays uncached.
-    """
+    """Integrate and cache the ``runs`` not yet cached, as one plan (``dynamics.run_all``)."""
     t0 = time.perf_counter()
     runs = [run for run in dict.fromkeys(runs) if run not in _traj.store]
-    k = min(_usable_cpus(), len(runs)) if hasattr(os, "fork") else min(1, len(runs))
-    shares = _shares(runs, k)
-    children = []  # (pid, read end, share) of the children not yet reaped
-    try:
-        for share in shares[1:]:
-            child = _fork_share(share)
-            if child is not None:
-                children.append((*child, share))
-        results = [(shares[0], _integrate_share(shares[0]))] if shares else []
-        results += [(share, _read_share(fd)) for _, fd, share in children]
-    finally:
-        for pid, fd, _ in children:
-            os.kill(pid, signal.SIGKILL)  # a no-op for a child that has exited
-            os.waitpid(pid, 0)
-            os.close(fd)
-    for share, done in results:
-        for i, trajectory in done.items():
-            _traj.add(share[i], trajectory)
-    processes = min(k, 1) + len(children)
+    trajectories, processes = run_all(Run.integrate, runs)
+    _traj.add(runs, trajectories)
     return PlanReport(len(runs), sum(r.steps for r in runs), processes, time.perf_counter() - t0)
 
 

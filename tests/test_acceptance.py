@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from escortdyn import suite
+from escortdyn import dynamics, suite
 
 CRITERION_NAMES = [c.name for c in suite.CRITERIA]
 
@@ -79,7 +79,7 @@ def test_measured_values_are_the_serial_ones(cold_run):
 def test_one_cpu_gives_the_same_values_in_one_process(monkeypatch):
     # the criteria with the shortest runs: 5 runs, 3e4 RK4 steps
     names = ["exponential_escort_rest_point", "formal_solution_agreement"]
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(os, "fork", None)  # calling it would raise
     suite.clear_cache()
     assert suite.integrate_runs(suite.plan(suite.select(names))).processes == 1

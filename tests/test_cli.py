@@ -702,6 +702,76 @@ class TestSweepCommand:
         assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["r_q1.5.csv", "r_q2.5.csv"]
 
 
+class TestSweepPlan:
+    """A sweep shares its values among the plan's processes (``dynamics.run_all``),
+    run here in process through ``main``: the split changes no byte of the
+    output, and a value whose child fails is done again in this process."""
+
+    # q = -35 leaves the domain in its first step, so one value exits 3
+    VALUES = "0.5,1.5,-1,-35,2.5"
+
+    def sweep(self, tmp_path, capsys, monkeypatch, cpus, values=VALUES, before=None):
+        """Exit code, stdout, stderr and {path: bytes} of the files under ``out``
+        of a sweep run by ``main`` in a fresh directory with ``cpus`` usable CPUs."""
+        from escortdyn import dynamics
+        from escortdyn.landscapes import rsp_matrix
+
+        work = tmp_path / f"cpus{cpus}"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
+        path, _ = base_config(
+            work, escort={"family": "power", "q": 2.0},
+            landscape={"matrix": rsp_matrix().tolist(), "form": "escort"}, t_end=0.5,
+            output={"path": "out/s.csv", "format": "csv"},
+        )
+        if before is not None:
+            before(work)
+        code = main(["sweep", "--config", str(path), "--param", "q", "--values", values])
+        out, err = capsys.readouterr()
+        files = {str(p.relative_to(work)): p.read_bytes() for p in sorted(work.glob("out/*")) if p.is_file()}
+        with pytest.raises(ChildProcessError):  # no child is left
+            os.waitpid(-1, os.WNOHANG)
+        return code, out, err, files
+
+    def test_usable_cpus_change_no_byte(self, tmp_path, capsys, monkeypatch):
+        serial = self.sweep(tmp_path, capsys, monkeypatch, 1)
+        assert serial[0] == 3 and serial[2] == ""
+        assert len(json.loads(serial[1])["runs"]) == len(serial[3]) == 5
+        for cpus in (2, 3):
+            assert self.sweep(tmp_path, capsys, monkeypatch, cpus) == serial
+
+    @pytest.mark.parametrize("action", ["raise", "die"])
+    def test_a_failing_child_is_redone_here(self, tmp_path, capsys, monkeypatch, action):
+        from escortdyn import cli
+
+        serial = self.sweep(tmp_path, capsys, monkeypatch, 1)
+        parent, execute = os.getpid(), cli._execute
+
+        def execute_here_only(config):
+            if os.getpid() != parent:
+                if action == "raise":
+                    raise RuntimeError("only in the child")
+                os._exit(9)
+            return execute(config)
+
+        monkeypatch.setattr(cli, "_execute", execute_here_only)
+        assert self.sweep(tmp_path, capsys, monkeypatch, 2) == serial
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_unwritable_output_names_the_first_value(self, tmp_path, capsys, monkeypatch, cpus):
+        # with 2 CPUs this process does 0.5 and 2.5 and the child 1.5 and 3.5;
+        # a serial sweep stops at 1.5, the first value that cannot be written
+        def block(work):
+            for name in ("s_q1.5.csv", "s_q2.5.csv"):
+                (work / "out" / name).mkdir(parents=True)
+
+        code, out, err, _ = self.sweep(tmp_path, capsys, monkeypatch, cpus, "0.5,1.5,2.5,3.5", block)
+        assert (code, out) == (2, "")
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("config error: cannot write output 'out/s_q1.5.csv': "), err
+
+
 class TestPaperSuiteCommand:
     def test_registry_covers_all_criteria(self):
         assert len(suite.CRITERIA) >= 10

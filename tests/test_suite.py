@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from escortdyn import suite
+from escortdyn import dynamics, suite
 from escortdyn.errors import DomainError
 from escortdyn.landscapes import FitnessLandscape
 from escortdyn.escorts import Identity, Power
@@ -78,14 +78,14 @@ def test_plan_drops_duplicates_in_order():
 
 
 def test_shares_balance_steps_and_keep_every_run():
-    shares = suite._shares(suite.plan(suite.CRITERIA), 2)
+    shares = dynamics._shares(suite.plan(suite.CRITERIA), 2)
     assert sorted(map(id, sum(shares, []))) == sorted(map(id, suite.plan(suite.CRITERIA)))
     assert [sum(r.steps for r in share) for share in shares] == [350_000, 350_000]
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 8])
 def test_forked_runs_equal_serial(monkeypatch, serial, cpus):
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
     report = suite.integrate_runs(RUNS)
     assert (report.runs, report.processes) == (len(RUNS), min(cpus, len(RUNS)))
     assert report.steps == sum(run.steps for run in RUNS)
@@ -95,7 +95,7 @@ def test_forked_runs_equal_serial(monkeypatch, serial, cpus):
 
 
 def test_without_fork_no_process_is_started(monkeypatch, serial):
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     monkeypatch.delattr(os, "fork")
     assert suite.integrate_runs(RUNS).processes == 1
     assert_serial(serial)
@@ -109,46 +109,46 @@ def _die():
     os._exit(9)
 
 
-@pytest.mark.parametrize("action", [_raise, _die])
-def test_failed_child_runs_are_redone_here(monkeypatch, serial, action):
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(Run, "integrate", in_child(os.getpid(), action))
-    suite.integrate_runs(RUNS)
-    assert set(suite._traj.store) == set(suite._shares(RUNS, 2)[0])
+def assert_redone_here(serial):
+    """Every run is cached by the plan itself, as its serial trajectory."""
+    assert set(suite._traj.store) == set(RUNS)
     assert_serial(serial)
     assert_no_child()
+
+
+@pytest.mark.parametrize("action", [_raise, _die])
+def test_failed_child_runs_are_redone_here(monkeypatch, serial, action):
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(Run, "integrate", in_child(os.getpid(), action))
+    suite.integrate_runs(RUNS)
+    assert_redone_here(serial)
 
 
 def test_runs_of_a_child_that_cannot_start_are_done_here(monkeypatch, serial):
     def no_fork():
         raise BlockingIOError("no process to spare")
 
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(os, "fork", no_fork)
     assert suite.integrate_runs(RUNS).processes == 1
-    assert set(suite._traj.store) == set(suite._shares(RUNS, 2)[0])
-    assert_serial(serial)
+    assert_redone_here(serial)
 
 
 def test_unreadable_child_data_is_redone_here(monkeypatch, serial):
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(pickle, "dump", lambda obj, out, protocol: out.write(b"not a pickle"))
     suite.integrate_runs(RUNS)
-    assert set(suite._traj.store) == set(suite._shares(RUNS, 2)[0])
-    assert_serial(serial)
-    assert_no_child()
+    assert_redone_here(serial)
 
 
-def test_a_failing_run_raises_as_it_does_serially(monkeypatch):
-    bad = Run(Identity(), "no_such_landscape", X0_CYCLE, 0.1, 10)
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_failing_run_raises_as_it_does_serially(monkeypatch, cpus):
+    bad = Run(Identity(), "no_such_landscape", X0_CYCLE, 0.1, observe_every=10)
     with pytest.raises(Exception) as serial_err:
         bad.integrate()
-    criterion = suite.Criterion("probe", "", 1.0, lambda tol, tr: (0.0, True, ""), (bad,))
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
-    suite.integrate_runs([bad, RUNS[0]])
-    assert bad not in suite._traj.store
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
     with pytest.raises(type(serial_err.value)) as err:
-        criterion.run()
+        suite.integrate_runs([bad, RUNS[0]])
     assert str(err.value) == str(serial_err.value)
     assert_no_child()
 
@@ -167,7 +167,7 @@ def test_no_child_outlives_a_raising_parent(monkeypatch):
         time.sleep(60)
         return integrate(run)
 
-    monkeypatch.setattr(suite, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(Run, "integrate", integrate_or_stall)
     t0 = time.perf_counter()
     with pytest.raises(Stop):
