@@ -65,8 +65,9 @@ def _quadrature_terms(phi: Escort, a, b) -> float:
 
     By Fubini, B(a, b) = int_b^a (log_phi(u) - log_phi(b)) du
     = int_b^a (a - v) / phi(v) dv, so no inner quadrature of log_phi is needed.
-    A zero coordinate is a bound of exactly 0, which ``gauss_kronrod_log``
-    integrates in v: finite where that integral converges, else QuadratureError.
+    A zero coordinate is a bound of exactly 0, where ``gauss_kronrod_log`` takes
+    the limit: finite where the integral converges, +inf at a simple pole of
+    1/phi, else QuadratureError.
     """
     total = 0.0
     for ai, bi in zip(a, b):

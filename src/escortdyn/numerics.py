@@ -46,6 +46,7 @@ QUAD_DEPTH = 50  # bisection levels before gauss_kronrod gives up
 # is converged to rounding, as in QUADPACK (Piessens et al., 1983): near a
 # pole the halved panel tolerances fall below it.
 ROUNDOFF_FLOOR = 50.0 * np.finfo(float).eps
+FACE_BOUNDS = (1e-300, 1e-150)  # the lower bounds of gauss_kronrod_log's limit at 0
 BRACKET_START = 1.0  # invert_increasing brackets its root outward from here
 NEWTON_STEPS = 100  # safeguarded Newton steps before invert_increasing gives up
 
@@ -108,15 +109,30 @@ def gauss_kronrod_log(f, a, b, tol=1e-10):
 
     The integrand is bounded at a simple pole of ``f`` at 0, and each panel spans a
     ratio of v (Davis & Rabinowitz, Methods of Numerical Integration, 2.12). A bound
-    of exactly 0, which s = log v never reaches, keeps the integral in v."""
-    if a == 0.0 or b == 0.0:
-        return gauss_kronrod(f, a, b, tol)
+    of exactly 0, which s = log v never reaches, is a limit: the integral is taken from
+    each of FACE_BOUNDS instead. Two values within ``tol`` of each other give the
+    limit. Two that differ by c ln(1e150), to within 1%, give the signed infinity of a
+    simple pole c/v; c is f(v) v at v = 1e-300. Any other pair raises QuadratureError."""
 
     def integrand(s):
         v = np.exp(s)
         return f(v) * v
 
-    return gauss_kronrod(integrand, math.log(a), math.log(b), tol)
+    if a != 0.0 and b != 0.0:
+        return gauss_kronrod(integrand, math.log(a), math.log(b), tol)
+    if a == b:
+        return 0.0
+    sign, end = (1.0, b) if a == 0.0 else (-1.0, a)
+    near, far = (gauss_kronrod(integrand, math.log(lo), math.log(end), tol) for lo in FACE_BOUNDS)
+    if abs(near - far) <= tol:
+        return sign * near
+    c = float(integrand(np.array([math.log(FACE_BOUNDS[0])]))[0])
+    growth = c * math.log(FACE_BOUNDS[1] / FACE_BOUNDS[0])
+    if abs(near - far - growth) <= 0.01 * abs(growth):
+        return sign * math.copysign(math.inf, c)
+    raise QuadratureError(
+        f"no limit at 0: {near!r} from {FACE_BOUNDS[0]:g}, {far!r} from {FACE_BOUNDS[1]:g}"
+    )
 
 
 def invert_increasing(g, gprime, target, tol):

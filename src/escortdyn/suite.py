@@ -3,8 +3,9 @@
 Each criterion computes a measured value and compares it against a pinned
 tolerance. Composite criteria (several sub-checks with different bounds)
 normalize each part by its own bound and report the worst ratio against a
-tolerance of 1. The suite is deterministic: sampled states use fixed seeds
-and the integrator is a fixed-step method.
+tolerance of 1. Samples are reduced with ``np.max``, which propagates NaN, so
+a NaN measurement fails. The suite is deterministic: sampled states use fixed
+seeds and the integrator is a fixed-step method.
 
 A criterion declares the trajectories it needs as ``dynamics.Run`` data.
 ``run_suite`` collects the selected criteria's runs, drops duplicates and
@@ -117,6 +118,23 @@ clear_cache = _traj.cache_clear
 # ---------------------------------------------------------------------------
 
 
+def _worst(values) -> float:
+    """The largest entry of ``values`` (numbers or arrays); NaN if any entry is NaN."""
+    return float(np.max([np.max(v) for v in values]))
+
+
+def _sup(values) -> float:
+    """The largest absolute entry of ``values``; NaN if any entry is NaN."""
+    return _worst(np.abs(v) for v in values)
+
+
+def _composite(tol, parts):
+    """The verdict of named ``(value, bound)`` parts: the worst value/bound against ``tol``."""
+    measured = _worst(v / b for v, b in parts.values())
+    note = "; ".join(f"{k} {v:.2e} (bound {b:.0e})" for k, (v, b) in parts.items())
+    return measured, measured <= tol, note
+
+
 def _c01_rsp_product(tol, tr):
     drift = _rel_drift(np.prod(tr.states, axis=1))
     return drift, drift <= tol, "x1*x2*x3 along the replicator RSP orbit, t in [0, 100]"
@@ -128,9 +146,7 @@ def _c02_poincare(tol, tr):
 
 
 def _c03_general_integral(tol, *trajectories):
-    worst = 0.0
-    for tr in trajectories:
-        worst = max(worst, _rel_drift(tr.integral_of_motion))
+    worst = _worst(_rel_drift(tr.integral_of_motion) for tr in trajectories)
     return worst, worst <= tol, "sum x*_i log_phi(x_i) for q in {0.5, 3}, t in [0, 100]"
 
 
@@ -141,24 +157,14 @@ _GRADIENT_RUNS = tuple(
 
 
 def _c04_lyapunov(tol, *trajectories):
-    # parts: per-step rise <= 1e-10, final <= 1e-3 * initial; tol scales part 1
-    step_bound = 1e-10 * tol
-    ratio_bound = 1e-3
-    worst_rise = -math.inf
-    worst_ratio = -math.inf
-    for tr in trajectories:
-        lyap = tr.lyapunov
-        worst_rise = max(worst_rise, float(np.max(np.diff(lyap))))
-        worst_ratio = max(worst_ratio, float(lyap[-1] / lyap[0]))
-    passed = worst_rise <= step_bound and worst_ratio < ratio_bound
-    note = (
-        f"max per-step rise {worst_rise:.2e} (bound {step_bound:.0e}); "
-        f"final/initial {worst_ratio:.2e} (bound {ratio_bound:.0e})"
-    )
-    return worst_rise, passed, note
+    return _composite(tol, {
+        "max per-step rise": (_worst(np.diff(tr.lyapunov) for tr in trajectories), 1e-10),
+        "final/initial": (_worst(tr.lyapunov[-1] / tr.lyapunov[0] for tr in trajectories), 1e-3),
+    })
 
 
-def _fd_potential_rate(phi, f, x, delta=1e-5):
+def _fd_potential_rate(phi, f, x):
+    delta = 1e-5
     field = _make_field(phi, f)
     x = np.asarray(x, dtype=float)
     k1 = field(x)
@@ -172,7 +178,7 @@ def _c05_fisher(tol, *trajectories):
         f.validate_potential(3)  # the rates compared below are equal only if f = grad V
     except ConfigError as err:
         return math.inf, False, f"neg_identity: {err}"
-    worst = 0.0
+    errors = []
     for run, tr in zip(_GRADIENT_RUNS, trajectories):
         phi = run.phi
         for i in range(100, 2100, 100):  # 20 samples over t in (0, 2.1]
@@ -181,63 +187,52 @@ def _c05_fisher(tol, *trajectories):
             if rate < 0.0:
                 return rate, False, "negative rate"
             fd = _fd_potential_rate(phi, f, x)
-            worst = max(worst, abs(rate - fd) / max(abs(rate), abs(fd)))
+            errors.append(abs(rate - fd) / max(abs(rate), abs(fd)))
+    worst = _worst(errors)
     return worst, worst <= tol, "Z_phi Var_phi[f] vs central-difference dV/dt, 20 times x 4 escorts"
 
 
 def _c06_nash_rest(tol):
     f = builtin_landscape("rsp")
     x = barycenter(3)
-    worst = 0.0
-    for phi in (Identity(), Power(2), Exponential(), Constant(1.0)):
-        worst = max(worst, float(np.max(np.abs(vector_field(phi, f, x)))))
+    worst = _sup(vector_field(phi, f, x) for phi in (Identity(), Power(2), Exponential(), Constant(1.0)))
     return worst, worst <= tol, "sup |field| at (1/3, 1/3, 1/3) for the RSP game"
 
 
 def _c07_projection(tol):
     phi = Constant(1.0)
-    worst = 0.0
+    deviations = []
     for f in (builtin_landscape("rsp"), builtin_landscape("exp_decay")):
         for x in simplex_samples(3, 50, seed=11):
             fx = f(x.coords)
-            expected = fx - fx.sum() / len(fx)
-            worst = max(worst, float(np.max(np.abs(vector_field(phi, f, x) - expected))))
+            deviations.append(vector_field(phi, f, x) - (fx - fx.sum() / len(fx)))
+    worst = _sup(deviations)
     return worst, worst <= tol, "constant-escort field vs f_i - mean(f) at 100 random states"
 
 
 def _c08_exponential_rest(tol, tr):
-    # parts: stay within 1e-8 of the barycenter over [0, 10]; closed-form field to 1e-12
-    stay_bound = 1e-8
-    field_bound = 1e-12 * tol
-    phi = Exponential()
-    stay = float(np.max(np.abs(tr.states - 1.0 / 3.0)))
-    f = builtin_landscape("exp_decay")
-    worst_field = 0.0
+    phi, f = Exponential(), builtin_landscape("exp_decay")
+    deviations = []
     for x in simplex_samples(3, 100, seed=23):
-        v = vector_field(phi, f, x)
         ex = np.exp(x.coords)
-        closed = 1.0 - len(ex) * ex / ex.sum()
-        worst_field = max(worst_field, float(np.max(np.abs(v - closed))))
-    passed = stay <= stay_bound and worst_field <= field_bound and tr.termination.ok
-    note = (
-        f"drift from barycenter {stay:.2e} (bound {stay_bound:.0e}); "
-        f"field vs 1 - n e^x / sum e^x: {worst_field:.2e} (bound {field_bound:.0e})"
-    )
-    return worst_field, passed, note
+        deviations.append(vector_field(phi, f, x) - (1.0 - len(ex) * ex / ex.sum()))
+    # a run that stopped early has not stayed
+    stay = float(np.max(np.abs(tr.states - 1.0 / 3.0))) if tr.termination.ok else math.inf
+    return _composite(tol, {
+        "drift from barycenter over [0, 10]": (stay, 1e-8),
+        "field vs 1 - n e^x / sum e^x": (_sup(deviations), 1e-12),
+    })
 
 
 def _c09_gauge(tol):
     f = builtin_landscape("rsp")
-    shifts = (lambda x: 5.0, lambda x: float(np.sum(x * x)))
-    worst = 0.0
-    for phi in (Identity(), Power(2), Exponential()):
-        for g in shifts:
-            fg = gauge_shift(f, g)
-            for x in simplex_samples(3, 50, seed=31):
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(vector_field(phi, f, x) - vector_field(phi, fg, x)))),
-                )
+    shifted = [gauge_shift(f, g) for g in (lambda x: 5.0, lambda x: float(np.sum(x * x)))]
+    worst = _sup(
+        vector_field(phi, f, x) - vector_field(phi, fg, x)
+        for phi in (Identity(), Power(2), Exponential())
+        for fg in shifted
+        for x in simplex_samples(3, 50, seed=31)
+    )
     return worst, worst <= tol, "field of f vs f + g(x)*1 for g in {5, sum x^2}, 100 states"
 
 
@@ -248,18 +243,14 @@ def _c10_time_change(tol, fast, slow):
 
 
 def _c11_formal_solution(tol, *trajectories):
-    worst = 0.0
-    for direct, formal in zip(trajectories[::2], trajectories[1::2]):
-        worst = max(worst, float(np.max(np.abs(direct.states - formal.states))))
+    worst = _sup(direct.states - formal.states
+                 for direct, formal in zip(trajectories[::2], trajectories[1::2]))
     return worst, worst <= tol, "exp_phi(v - G) reconstruction vs direct integration, t in [0, 5]"
 
 
 def _c12_q_ordering(tol, ref, *trajectories):
-    devs = []
-    for tr in trajectories:
-        devs.append(float(np.max(np.abs(tr.states - ref.states))))
-    ratios = [devs[i + 1] / devs[i] for i in range(len(devs) - 1)]
-    measured = max(ratios)
+    devs = [float(np.max(np.abs(tr.states - ref.states))) for tr in trajectories]
+    measured = _worst(b / a for a, b in zip(devs, devs[1:]))
     note = "deviation from the replicator at q in {1.1, 1.01, 1.001}: " + ", ".join(
         f"{d:.3e}" for d in devs
     )
@@ -281,64 +272,55 @@ def _c13_roundtrips(tol):
         Exponential(),
         Custom(lambda v: v + v * v, name="v+v^2"),
     ]
-    worst = 0.0
-    for phi in families:
-        for u in np.linspace(0.05, 5.0, 34):
-            worst = max(worst, abs(phi.exp(phi.log(float(u))) - u))
-    parts["roundtrip"] = (worst, 1e-8)
+    parts["roundtrip"] = (
+        _sup(phi.exp(phi.log(float(u))) - u for phi in families for u in np.linspace(0.05, 5.0, 34)),
+        1e-8,
+    )
 
     rng = random.Random(7)
-    worst = 0.0
-    for q in (0.0, 0.5, 2.0, 3.0):
-        phi = Power(q)
-        for u in (0.05 + 4.95 * rng.random() for _ in range(25)):
-            worst = max(worst, abs(phi.log(u) - float(Escort._log(phi, np.array([u]))[0])))
+    gaps = [
+        phi.log(u) - float(Escort._log(phi, np.array([u]))[0])
+        for phi in map(Power, (0.0, 0.5, 2.0, 3.0))
+        for u in (0.05 + 4.95 * rng.random() for _ in range(25))
+    ]
     for x, y in zip(simplex_samples(3, 10, seed=5), simplex_samples(3, 10, seed=6)):
         for phi in (Identity(), Power(2)):
-            worst = max(worst, abs(escort_divergence(phi, x, y) - _quadrature_terms(phi, x.coords, y.coords)))
-    parts["closed_vs_quadrature"] = (worst, 1e-7)
+            gaps.append(escort_divergence(phi, x, y) - _quadrature_terms(phi, x.coords, y.coords))
+    parts["closed_vs_quadrature"] = (_sup(gaps), 1e-7)
 
     h = 1e-4
     x = np.array(X0_CYCLE)
-    worst = 0.0
+    errors = []
     for phi in (Identity(), Power(2)):
         diag = escort_metric(phi, x)
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
             d2 = (escort_divergence(phi, x, x + e) + escort_divergence(phi, x, x - e)) / h**2
-            worst = max(worst, abs(d2 - diag[i]) / diag[i])
-    parts["hessian_vs_metric"] = (worst, 1e-4)
+            errors.append(abs(d2 - diag[i]) / diag[i])
+    parts["hessian_vs_metric"] = (_worst(errors), 1e-4)
 
-    measured = max(v / b for v, b in parts.values())
-    note = "; ".join(f"{k} {v:.2e} (bound {b:.0e})" for k, (v, b) in parts.items())
-    return measured, measured <= tol, note
+    return _composite(tol, parts)
 
 
 def _c14_discrete_map(tol):
-    bound = 1e-15 * tol
     pos = FitnessLandscape.custom(lambda x: np.array([1.0, 3.0, 2.0]) + x, name="positive")
-    worst = 0.0
+    errors = []
     for x in simplex_samples(3, 50, seed=41):
         fx = pos(x.coords)
-        expected = fx / fx.sum()
-        got = discrete_step(Constant(1.0), pos, x).coords
-        worst = max(worst, float(np.max(np.abs(got - expected))))
+        errors.append(discrete_step(Constant(1.0), pos, x).coords - fx / fx.sum())
 
     const = FitnessLandscape.custom(lambda x: np.full(len(x), 2.5), name="flat")
-    fixed_dev = 0.0
-    moved = math.inf
+    stays, moves = [], []
     for x in simplex_samples(3, 50, seed=43):
-        stay = discrete_step(Identity(), const, x).coords
-        fixed_dev = max(fixed_dev, float(np.max(np.abs(stay - x.coords))))
-        go = discrete_step(Identity(), pos, x).coords
-        moved = min(moved, float(np.max(np.abs(go - x.coords))))
-    passed = worst <= bound and fixed_dev <= bound and moved > 1e-6
-    note = (
-        f"constant escort vs f/sum(f): {worst:.1e}; equal-fitness fixed point dev {fixed_dev:.1e}; "
-        f"min movement under unequal fitness {moved:.2e}"
-    )
-    return max(worst, fixed_dev), passed, note
+        stays.append(discrete_step(Identity(), const, x).coords - x.coords)
+        moves.append(np.max(np.abs(discrete_step(Identity(), pos, x).coords - x.coords)))
+    moved = float(np.min(moves))
+    return _composite(tol, {
+        "constant escort vs f/sum(f)": (_sup(errors), 1e-15),
+        "equal-fitness fixed point dev": (_sup(stays), 1e-15),
+        "1e-6 / min movement under unequal fitness": (1e-6 / moved if moved else math.inf, 1.0),
+    })
 
 
 CRITERIA = [

@@ -26,17 +26,17 @@ MEASURED = {
     "rsp_product_conservation": "5.0769573730254556e-14",
     "poincare_inverse_sum": "1.3580534546382559e-14",
     "general_integral_of_motion": "1.723172502891261e-14",
-    "lyapunov_monotonicity": "4.411656111125266e-16",
+    "lyapunov_monotonicity": "0.2663539419257823",
     "fisher_rate_gradient_flows": "5.585228963803212e-10",
     "nash_rest_points": "0.0",
     "orthogonal_projection_field": "0.0",
-    "exponential_escort_rest_point": "3.885780586188048e-16",
+    "exponential_escort_rest_point": "0.0003885780586188048",
     "gauge_invariance": "2.275957200481571e-15",
     "selection_intensity_time_change": "1.8818280267396403e-14",
     "formal_solution_agreement": "1.9984014443252818e-15",
     "q_to_one_ordering": "0.10985106579580545",
     "roundtrips_and_cross_checks": "0.036211655896067896",
-    "discrete_map_forms": "1.1102230246251565e-16",
+    "discrete_map_forms": "0.11102230246251564",
 }
 
 

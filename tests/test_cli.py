@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -28,8 +30,35 @@ def cli_env(base=None):
 
 
 def run_cli(*args, cwd):
+    """``escortdyn *args`` in ``cwd``, through ``cli.main`` in this process (under
+    the test's warning filters): its exit code, standard output and standard
+    error, as ``subprocess.run`` would give them for a child. An argparse exit
+    is its code; any other exception propagates."""
+    if args[:1] == ("paper-suite",):
+        suite.clear_cache()  # a fresh process plans every run: the plan line counts them
+    out, err = io.StringIO(), io.StringIO()
+    home = os.getcwd()
+    os.chdir(cwd)  # configs name their output relative to the working directory
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(args))
+            except SystemExit as exit_:
+                code = exit_.code
+    finally:
+        os.chdir(home)
+    return subprocess.CompletedProcess(args, code, out.getvalue(), err.getvalue())
+
+
+MODULE = ["-m", "escortdyn.cli"]
+# what the ``escortdyn`` console script calls
+ENTRY_POINT = ["-c", "from escortdyn.cli import entrypoint; entrypoint()"]
+
+
+def run_child(*args, cwd, how=MODULE):
+    """``escortdyn *args`` in a fresh interpreter, started ``how``, in ``cwd``."""
     return subprocess.run(
-        [sys.executable, "-m", "escortdyn.cli", *args],
+        [sys.executable, *how, *args],
         cwd=cwd,
         capture_output=True,
         text=True,
@@ -193,11 +222,12 @@ class TestRunCommand:
         assert header == ["t", "x_1", "x_2", "x_3", "escort_mean_fitness"]
 
     def test_deterministic_output_bytes(self, tmp_path):
+        # end to end: two fresh interpreters, through ``python -m`` and the console entry point
         path, _ = base_config(tmp_path)
-        proc = run_cli("run", "--config", str(path), cwd=tmp_path)
+        proc = run_child("run", "--config", str(path), cwd=tmp_path, how=MODULE)
         assert proc.returncode == 0, proc.stderr
         first = (tmp_path / "out" / "run.csv").read_bytes()
-        proc = run_cli("run", "--config", str(path), cwd=tmp_path)
+        proc = run_child("run", "--config", str(path), cwd=tmp_path, how=ENTRY_POINT)
         assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "out" / "run.csv").read_bytes() == first
 

@@ -26,7 +26,7 @@ from escortdyn import (
     partition_function,
 )
 from escortdyn.geometry import divergence_profile
-from escortdyn.numerics import gauss_kronrod, invert_increasing
+from escortdyn.numerics import gauss_kronrod, gauss_kronrod_log, invert_increasing
 
 SCALAR_FAMILIES = [
     Identity(),
@@ -266,6 +266,23 @@ class TestGaussKronrod:
         step = lambda v: np.where(v < 1.0 / 3.0, 0.0, 1.0)  # noqa: E731
         with pytest.raises(QuadratureError):
             gauss_kronrod(step, 0.0, 1.0, tol=1e-12)
+
+    # a bound of 0 is a limit: finite where it converges, the signed infinity of a simple pole
+    @pytest.mark.parametrize("f, a, b, expected", [
+        (lambda v: v**-0.5, 0.0, 1.0, 2.0),
+        (lambda v: v**-0.5, 1.0, 0.0, -2.0),
+        (lambda v: 1.0 / (1.0 + v), 0.0, 1.0, math.log(2.0)),
+        (lambda v: 1.0 / v, 0.0, 1.0, math.inf),
+        (lambda v: 1.0 / v, 1.0, 0.0, -math.inf),
+        (lambda v: -1.0 / (v + v * v), 0.0, 0.5, -math.inf),
+    ])
+    def test_log_form_limit_at_zero(self, f, a, b, expected):
+        assert gauss_kronrod_log(f, a, b) == pytest.approx(expected, abs=1e-10)
+
+    def test_log_form_without_a_limit_at_zero_raises(self):
+        # v^-0.999 is integrable, but its tail below 1e-300 is still about 0.5
+        with pytest.raises(QuadratureError, match="no limit at 0"):
+            gauss_kronrod_log(lambda v: v**-0.999, 0.0, 1.0)
 
 
 def counting_custom(fn):

@@ -12,7 +12,6 @@ from escortdyn import (
     Exponential,
     Identity,
     Power,
-    QuadratureError,
     Scaled,
     SimplexPoint,
     escort_divergence,
@@ -168,7 +167,7 @@ class TestEscortDivergence:
         # mass on a coordinate the second argument lacks: infinite
         with pytest.raises(DivergenceInfinite):
             escort_divergence(Identity(), [0.5, 0.5], [1.0, 0.0])
-        # the quadrature reference integrates to a zero coordinate in v
+        # the quadrature reference takes the limit at a zero coordinate
         val = _quadrature_terms(Identity(), np.array([1.0, 0.0]), np.array([0.5, 0.5]))
         assert val == pytest.approx(math.log(2.0), abs=1e-12)
 
@@ -181,14 +180,23 @@ class TestEscortDivergence:
         got = escort_divergence(Custom(lambda v: 1.0 + v, name="1+v"), x, y)
         assert got == pytest.approx(closed, abs=1e-12)
 
-    # 1/phi is not integrable at 0 for v and v + v^2; for sqrt(v) it is, and the
-    # true value (4/3) a^(3/2) is beyond the quadrature in v, which raises too
-    @pytest.mark.parametrize("phi", [
-        Identity(), Custom(lambda v: v + v * v, name="v+v^2"), Custom(math.sqrt, name="sqrt"),
+    # 1/phi is not integrable at 0 for v and v + v^2, so the term at y_i = 0 is +inf;
+    # for sqrt(v) it is: B(a, b) = (4/3) a^(3/2) + (2/3) b^(3/2) - 2 a sqrt(b),
+    # which is (4/3) a^(3/2) at b = 0
+    @pytest.mark.parametrize("phi, expected", [
+        (Identity(), math.inf),
+        (Custom(lambda v: v + v * v, name="v+v^2"), math.inf),
+        (Custom(math.sqrt, name="sqrt"),
+         sum(4 / 3 * a**1.5 + 2 / 3 * b**1.5 - 2 * a * math.sqrt(b) for a, b in [(0.5, 1.0), (0.5, 0.0)])),
     ])
-    def test_quadrature_against_a_zero_coordinate_raises(self, phi):
-        with pytest.raises(QuadratureError):
-            _quadrature_terms(phi, np.array([0.5, 0.5]), np.array([1.0, 0.0]))
+    def test_quadrature_against_a_zero_coordinate(self, phi, expected):
+        x, y = np.array([0.5, 0.5]), np.array([1.0, 0.0])
+        assert _quadrature_terms(phi, x, y) == pytest.approx(expected, abs=1e-10)
+        if math.isinf(expected):
+            with pytest.raises(DivergenceInfinite):
+                escort_divergence(phi, x, y)
+        else:
+            assert escort_divergence(phi, x, y) == pytest.approx(expected, abs=1e-10)
 
     def test_power_above_one_infinite_at_boundary(self):
         with pytest.raises(DivergenceInfinite):

@@ -5,6 +5,7 @@ integrates its plan in well under a second; ``tests/test_acceptance.py``
 runs the full plan.
 """
 
+import math
 import os
 import pickle
 import time
@@ -16,7 +17,7 @@ from escortdyn import dynamics, suite
 from escortdyn.errors import DomainError
 from escortdyn.landscapes import FitnessLandscape
 from escortdyn.escorts import Identity, Power
-from escortdyn.dynamics import Run
+from escortdyn.dynamics import Run, Termination, Trajectory
 from escortdyn.suite import BARYCENTER_3, RSP_ESCORT, X0_CYCLE
 
 RUNS = (
@@ -185,3 +186,27 @@ def test_fisher_criterion_fails_with_a_note_when_its_potential_is_wrong(monkeypa
     assert not result.passed and result.measured == float("inf")
     assert "declared potential mismatches f" in result.note
     assert "FAIL" in suite.format_report([result])
+
+
+# the criteria that reduce samples of the field, and those that reduce trajectory columns
+NAN_FIELD = ["nash_rest_points", "orthogonal_projection_field", "exponential_escort_rest_point",
+             "gauge_invariance"]
+NAN_COLUMNS = ["general_integral_of_motion", "lyapunov_monotonicity",
+               "selection_intensity_time_change", "formal_solution_agreement", "q_to_one_ordering"]
+
+
+@pytest.mark.parametrize("name", NAN_FIELD + NAN_COLUMNS)
+def test_a_nan_measurement_fails(monkeypatch, name):
+    criterion = suite.CRITERIA_BY_NAME[name]
+    if name in NAN_FIELD:
+        monkeypatch.setattr(suite, "vector_field", lambda phi, f, x: np.full(3, np.nan))
+    value = 1 / 3 if name in NAN_FIELD else np.nan  # c08's run stays at the barycenter
+    trajectories = []
+    for run in criterion.runs:
+        m = run.steps // run.observe_every + 1
+        nan = np.full(m, np.nan)
+        trajectories.append(Trajectory(np.arange(m), np.full((m, 3), value), nan, nan, nan,
+                                       Termination.completed()))
+    suite._traj.add(criterion.runs, trajectories)
+    result = criterion.run()
+    assert math.isnan(result.measured) and result.passed is False
