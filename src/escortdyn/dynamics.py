@@ -14,6 +14,7 @@ import operator
 import os
 import pickle
 import signal
+import threading
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -216,11 +217,17 @@ def _march(rhs, y, h, n_steps, observe_every, accept=None):
 
     ``rhs`` is evaluated once at each accepted state: that evaluation is the
     next step's first stage and leaves the state's ``(x, mean)`` in
-    ``rhs.sample``, so ``s`` steps make 4s + 1 evaluations. ``accept(y_new,
+    ``rhs.sample``, so ``s`` steps make at most 4s + 1 evaluations. ``accept(y_new,
     t_new)``, when given, may rescale ``y_new`` in place and returns None to
     accept it or a Termination that ends the run, and a DomainError while
     stepping ends the run with ``boundary_exit`` at the last accepted state;
     without it every step is accepted and errors propagate.
+
+    An accepted state with the same bytes as the one it was stepped from is a
+    fixed point of the step (``rhs`` is a function of the state alone), so
+    every later step repeats it: the march records the remaining samples from
+    the sample already taken there and stops. Comparing bytes keeps -0.0 and
+    0.0 apart, so this is exact.
     """
     stops = () if accept is None else DomainError
     times, states, means = [], [], []
@@ -231,7 +238,8 @@ def _march(rhs, y, h, n_steps, observe_every, accept=None):
         means.append(float(mean))
 
     k1 = rhs(y)
-    record(0.0, *rhs.sample)
+    sample = rhs.sample
+    record(0.0, *sample)
     t, termination = 0.0, None  # the time of the last accepted state; None while running
     for k in range(n_steps):
         t_new = (k + 1) * h
@@ -240,9 +248,17 @@ def _march(rhs, y, h, n_steps, observe_every, accept=None):
             termination = accept and accept(y_new, t_new)
             if termination:
                 break
-            k1 = rhs(y_new)  # accepting y_new: the next step's first stage
+            fixed = y_new.tobytes() == y.tobytes()
+            if not fixed:
+                k1 = rhs(y_new)  # accepting y_new: the next step's first stage
         except stops as err:
             termination = Termination.boundary_exit(t, err.index, str(err))
+            break
+        if fixed:  # steps k + 1, ..., n_steps all end at y, whose sample is taken
+            first = -(-(k + 1) // observe_every) * observe_every
+            for j in range(first, n_steps + 1, observe_every):
+                record(j * h, *sample)
+            t = n_steps * h
             break
         y, t, sample = y_new, t_new, rhs.sample  # the next step's stages overwrite rhs.sample
         if (k + 1) % observe_every == 0:
@@ -359,37 +375,51 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _shares(runs, k):
-    """Split ``runs`` into ``k`` shares: each run, most RK4 steps first, goes
-    to the share with the fewest steps so far (the first such on a tie)."""
-    shares = [[] for _ in range(k)]
-    loads = [0] * k
-    for run in sorted(runs, key=lambda r: -r.steps):
-        i = loads.index(min(loads))
-        shares[i].append(run)
-        loads[i] += run.steps
-    return shares
+QUEUE_RECORD = 4  # bytes per run index in the queue pipe
+QUEUE_WRITE = 512  # bytes per write to it: at most POSIX's PIPE_BUF, so each write is atomic
 
 
-def _run_share(fn, share) -> dict:
-    """{index in share: fn(run)} for the runs of ``share`` where ``fn`` does not raise."""
+def _queue_order(runs) -> list:
+    """The distinct ``runs``, most RK4 steps first and formal runs first among
+    equal steps, else in order of first use: the order of ``run_all``'s queue."""
+    return sorted(dict.fromkeys(runs), key=lambda r: (-r.steps, not r.formal))
+
+
+def _feed(fd, indices):
+    """Write ``indices`` to the queue pipe ``fd`` and close it. Each write holds
+    whole records and is atomic, so every read of one record gets one index;
+    the feed stops early when no child is left to read."""
+    data = b"".join(i.to_bytes(QUEUE_RECORD, "little") for i in indices)
+    try:
+        for start in range(0, len(data), QUEUE_WRITE):
+            os.write(fd, data[start:start + QUEUE_WRITE])
+    except OSError:  # every reader has exited
+        pass
+    finally:
+        os.close(fd)
+
+
+def _take(fn, order, fd) -> dict:
+    """{index: fn(order[index])} for the indices read from the queue ``fd``
+    until it is empty and closed, leaving out the runs where ``fn`` raised."""
     done = {}
-    for i, run in enumerate(share):
+    while len(record := os.read(fd, QUEUE_RECORD)) == QUEUE_RECORD:
+        i = int.from_bytes(record, "little")
         try:
-            done[i] = fn(run)
+            done[i] = fn(order[i])
         except Exception:
             pass
     return done
 
 
-def _fork_share(fn, share):
-    """Start a child that applies ``fn`` to ``share`` and pickles the result of
-    ``_run_share`` back over a pipe; returns (pid, read end), or None when no
-    process can be started."""
+def _fork_child(fn, order, queue):
+    """Start a child that takes runs of ``order`` from the ``queue`` pipe's read
+    end and pickles the result of ``_take`` back over a pipe; returns (pid, read
+    end), or None when no process can be started."""
     r, w = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # the share's runs are done in this process
+    except OSError:  # its runs are done by the other processes
         os.close(r)
         os.close(w)
         return None
@@ -397,8 +427,9 @@ def _fork_share(fn, share):
         code = 1
         try:
             os.close(r)
+            os.close(queue[1])  # else the queue would never read as closed
             with os.fdopen(w, "wb") as out:
-                pickle.dump(_run_share(fn, share), out, pickle.HIGHEST_PROTOCOL)
+                pickle.dump(_take(fn, order, queue[0]), out, pickle.HIGHEST_PROTOCOL)
             code = 0
         finally:
             os._exit(code)
@@ -406,7 +437,7 @@ def _fork_share(fn, share):
     return pid, r
 
 
-def _read_share(fd) -> dict:
+def _read_results(fd) -> dict:
     """A child's result, or {} when it died or sent something unreadable."""
     try:
         with os.fdopen(fd, "rb", closefd=False) as fh:
@@ -419,30 +450,50 @@ def _read_share(fd) -> dict:
 def run_all(fn, runs) -> tuple[list, int]:
     """``[fn(run) for run in runs]``, and the number of processes that took part.
 
-    The runs are split into k = min(usable CPUs, runs) shares (one without
-    ``os.fork``) by RK4 steps, a split fixed by the runs and k alone; this
-    process does share 0 and a forked child each other share, pickling its
-    results back. A run whose ``fn`` raised, or whose child could not start,
-    died or sent unreadable data, is done again here, in order, and raises as
-    it would serially. Equal runs give one result.
+    The distinct runs are queued in ``_queue_order``. This process does the
+    first itself, while k = min(usable CPUs, runs - 1) forked children take the
+    others from one pipe of run indices and each pickles its results back; with
+    one CPU or without ``os.fork`` every run is done here, serially. Which runs
+    this process does is fixed by the runs alone. A run whose ``fn`` raised, or
+    whose child died or sent unreadable data, is done again here, in order, and
+    raises as it would serially. Equal runs give one result.
     """
-    k = min(_usable_cpus(), len(runs)) if hasattr(os, "fork") else min(1, len(runs))
-    shares = _shares(runs, k)
-    children = []  # (pid, read end, share) of the children not yet reaped
+    order = _queue_order(runs)
+    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    k = min(cpus, len(order) - 1) if cpus > 1 else 0
+    done, children, feeder = {}, [], None  # children: (pid, read end) of those not yet reaped
     try:
-        for share in shares[1:]:
-            child = _fork_share(fn, share)
-            if child is not None:
-                children.append((*child, share))
-        results = [(shares[0], _run_share(fn, shares[0]))] if shares else []
-        results += [(share, _read_share(fd)) for _, fd, share in children]
+        if k > 0:
+            r, w = os.pipe()
+            feeder = threading.Thread(target=_feed, args=(w, range(1, len(order))), daemon=True)
+            try:
+                for _ in range(k):
+                    child = _fork_child(fn, order, (r, w))
+                    if child is not None:
+                        children.append(child)
+            finally:
+                os.close(r)  # with no child left to read, the feed stops
+                feeder.start()  # after the last fork, so that no fork copies a running thread
+        if children:
+            try:
+                done[order[0]] = fn(order[0])
+            except Exception:
+                pass
+            for _, fd in children:
+                done.update((order[i], result) for i, result in _read_results(fd).items())
     finally:
-        for pid, fd, _ in children:
+        for pid, fd in children:
             os.kill(pid, signal.SIGKILL)  # a no-op for a child that has exited
             os.waitpid(pid, 0)
             os.close(fd)
-    done = {share[i]: result for share, part in results for i, result in part.items()}
-    return [done[run] if run in done else fn(run) for run in runs], min(k, 1) + len(children)
+        if feeder is not None:
+            feeder.join()
+    results = []
+    for run in runs:
+        if run not in done:
+            done[run] = fn(run)
+        results.append(done[run])
+    return results, min(len(order), 1) + len(children)
 
 
 # ---------------------------------------------------------------------------

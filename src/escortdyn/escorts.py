@@ -26,6 +26,7 @@ LOG_QUAD_TOL = 1e-10
 EXP_TOL = 1e-10
 
 _POSITIVITY_GRID = np.arange(1, 1001) / 1001.0
+_TINY = 1.0 / np.finfo(float).max  # 1/p is finite for every p above it
 
 
 class Escort:
@@ -88,12 +89,8 @@ class Escort:
 
     def reciprocal(self, v: np.ndarray) -> np.ndarray:
         """1/phi at a 1-d array; DomainError (with ``index``) at the first entry
-        where phi is not positive and finite, as a closed form can overflow."""
-        p = self.weights(v)
-        if not _inside(p, 0.0, math.inf):
-            i = int(((p > 0.0) & np.isfinite(p)).argmin())
-            raise DomainError(f"escort not positive and finite at u={float(v[i])!r}", index=i)
-        return 1.0 / p
+        where phi is negative or not finite, as a closed form can overflow."""
+        return _reciprocal(v, self.weights(v))
 
     def log_range(self):
         """Open interval of values attained by log_phi on u > 0."""
@@ -134,6 +131,20 @@ def _inside(u, lo, hi):
     return not u.size or (lo < np.minimum.reduce(u, axis=None) and np.maximum.reduce(u, axis=None) < hi)
 
 
+def _reciprocal(v, p):
+    """1/p for phi's values ``p`` at ``v``: +inf where it overflows, as where phi
+    underflows near a pole of 1/phi at 0, and DomainError (with ``index``) at the
+    first entry where ``p`` is negative or not finite."""
+    if _inside(p, _TINY, math.inf):  # one scalar test for the common case
+        return 1.0 / p
+    ok = (p >= 0.0) & (p < math.inf)
+    if not ok.all():
+        i = int(ok.argmin())
+        raise DomainError(f"escort not positive and finite at u={float(v[i])!r}", index=i)
+    with np.errstate(over="ignore", divide="ignore"):
+        return 1.0 / p
+
+
 def _xlogx(u):
     """u log u at an array, with its limit 0 at u = 0."""
     return u * np.log(np.where(u > 0.0, u, 1.0))
@@ -165,7 +176,8 @@ class Scaled(Escort):
         return self.beta * x
 
     def _log(self, u):
-        return np.log(u) / self.beta
+        with np.errstate(over="ignore"):  # beyond float range at a tiny beta: +-inf
+            return np.log(u) / self.beta
 
     def _exp(self, w):
         return np.exp(self.beta * w)
@@ -204,7 +216,10 @@ class Power(Escort):
 
     def _log(self, u):
         e = 1.0 - self.q
-        return np.expm1(e * np.log(u)) / e if e != 0.0 else np.log(u)
+        if e == 0.0:
+            return np.log(u)
+        with np.errstate(over="ignore"):  # beyond float range far from u = 1: +-inf
+            return np.expm1(e * np.log(u)) / e
 
     def _exp(self, w):
         e = 1.0 - self.q
@@ -332,6 +347,16 @@ class Custom(Escort):
             message = f"custom escort not positive and finite at u={u!r} ({p!r})"
             raise DomainError(message, index=None if x.ndim == 0 else i)
         return w
+
+    def reciprocal(self, v):
+        """1/phi, +inf also where phi underflows to 0 at v > 0, as near a pole of
+        1/phi at 0: ``weights`` rejects that 0."""
+        try:
+            return super().reciprocal(v)
+        except DomainError:
+            if not _inside(v, 0.0, math.inf):
+                raise
+            return _reciprocal(v, np.array([float(self.fn(u)) for u in v.tolist()]))
 
 
 # ---------------------------------------------------------------------------

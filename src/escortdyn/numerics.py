@@ -112,7 +112,9 @@ def gauss_kronrod_log(f, a, b, tol=1e-10):
     of exactly 0, which s = log v never reaches, is a limit: the integral is taken from
     each of FACE_BOUNDS instead. Two values within ``tol`` of each other give the
     limit. Two that differ by c ln(1e150), to within 1%, give the signed infinity of a
-    simple pole c/v; c is f(v) v at v = 1e-300. Any other pair raises QuadratureError."""
+    simple pole c/v; c is f(v) v at v = 1e-300. Where c is itself infinite, as 1/phi
+    overflows there at a pole of order 2 or more, it is that signed infinity. Any
+    other pair raises QuadratureError."""
 
     def integrand(s):
         v = np.exp(s)
@@ -123,10 +125,12 @@ def gauss_kronrod_log(f, a, b, tol=1e-10):
     if a == b:
         return 0.0
     sign, end = (1.0, b) if a == 0.0 else (-1.0, a)
+    c = float(integrand(np.array([math.log(FACE_BOUNDS[0])]))[0])
+    if math.isinf(c):  # f overflows at the bound: a pole that no float integral reaches
+        return sign * c
     near, far = (gauss_kronrod(integrand, math.log(lo), math.log(end), tol) for lo in FACE_BOUNDS)
     if abs(near - far) <= tol:
         return sign * near
-    c = float(integrand(np.array([math.log(FACE_BOUNDS[0])]))[0])
     growth = c * math.log(FACE_BOUNDS[1] / FACE_BOUNDS[0])
     if abs(near - far - growth) <= 0.01 * abs(growth):
         return sign * math.copysign(math.inf, c)

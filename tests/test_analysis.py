@@ -12,6 +12,7 @@ from escortdyn import (
     Exponential,
     Identity,
     Power,
+    QuadratureError,
     Scaled,
     SimplexPoint,
     barycenter,
@@ -260,14 +261,22 @@ class TestIntegralOfMotion:
             # log_phi(u) = 2 (sqrt(u) - 1), so log_phi(0+) = -2
             (math.sqrt, (2.0 * 2.0 * (math.sqrt(0.5) - 1.0) - 2.0) / 3.0),
             (lambda v: v, -math.inf),
+            # v^2 underflows to 0 at v = 1e-300, where 1/phi overflows
+            (lambda v: v * v, -math.inf),
+            (lambda v: v**3, -math.inf),
         ],
-        ids=["v+v^2", "sqrt(v)", "v"],
+        ids=["v+v^2", "sqrt(v)", "v", "v^2", "v^3"],
     )
     def test_custom_on_a_face_gives_the_limit(self, fn, expected):
         # 1/phi is unbounded at 0: the integral converges for sqrt(v), and at the
-        # simple pole of v and v + v^2 it is -inf
+        # poles of v, v + v^2, v^2 and v^3 it is -inf
         value = integral_of_motion(Custom(fn, name="pole"), barycenter(3), [0.5, 0.5, 0.0])
         assert value == pytest.approx(expected, abs=1e-10)
+
+    def test_custom_on_a_face_without_a_limit_raises(self):
+        # v^-0.999 is integrable, but its tail below 1e-300 is still about 0.5
+        with pytest.raises(QuadratureError, match="no limit at 0"):
+            integral_of_motion(Custom(lambda v: v**0.999, name="v^0.999"), barycenter(3), [0.5, 0.5, 0.0])
 
     @pytest.mark.parametrize("n", [2, 4])
     def test_rejects_wrong_length(self, n):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -29,8 +30,9 @@ from escortdyn import (
     rsp_matrix,
     vector_field,
 )
+from escortdyn import dynamics, suite
 from escortdyn.simplex import simplex_samples
-from escortdyn.dynamics import BLOCK_ROWS, _check_controls, _safe_integral
+from escortdyn.dynamics import BLOCK_ROWS, Run, _check_controls, _rk4_step, _safe_integral
 from escortdyn.geometry import divergence_profile
 from escortdyn.suite import X0_CYCLE
 
@@ -446,6 +448,121 @@ def reference_rk4(phi, f, x0, t_end, step):
         states.append(x.copy())
         means.append(m)
     return np.array(states), np.array(means)
+
+
+def march_every_step(rhs, y, h, n_steps, observe_every, accept=None):
+    """``dynamics._march`` without its fixed-point stop: it takes every step."""
+    stops = () if accept is None else DomainError
+    times, states, means = [], [], []
+
+    def record(t, x, mean):
+        times.append(t)
+        states.append(x.copy())
+        means.append(float(mean))
+
+    k1 = rhs(y)
+    record(0.0, *rhs.sample)
+    t, termination = 0.0, None
+    for k in range(n_steps):
+        t_new = (k + 1) * h
+        try:
+            y_new = _rk4_step(rhs, y, h, k1)
+            termination = accept and accept(y_new, t_new)
+            if termination:
+                break
+            k1 = rhs(y_new)
+        except stops as err:
+            termination = Termination.boundary_exit(t, err.index, str(err))
+            break
+        y, t, sample = y_new, t_new, rhs.sample
+        if (k + 1) % observe_every == 0:
+            record(t, *sample)
+    if times[-1] < t:
+        record(t, *sample)
+    return times, np.array(states), means, termination or Termination.completed()
+
+
+def every_step(integrate_fn):
+    """``integrate_fn()`` with a march that takes every step."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_march", march_every_step)
+        return integrate_fn()
+
+
+def counting_steps(integrate_fn):
+    """``integrate_fn()`` and the number of RK4 steps it took."""
+    steps = []
+
+    def step(*args):
+        steps.append(None)
+        return _rk4_step(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_rk4_step", step)
+        return integrate_fn(), len(steps)
+
+
+def assert_same_bits(a, b, rows=slice(None)):
+    """Trajectory ``a`` is ``b``, or the ``rows`` of ``b``, bit for bit."""
+    for name in ("times", "states", "mean_fitness", "lyapunov", "integral_of_motion"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x is None and y is None) or (x.shape == y[rows].shape and x.tobytes() == y[rows].tobytes()), name
+    assert a.termination == b.termination
+
+
+class TestFixedPointStop:
+    """A march stops at an accepted state with the same bytes as the state it
+    was stepped from, and records its remaining samples from there: every later
+    step would repeat it. The trajectory is the full march's, bit for bit."""
+
+    C08 = suite.CRITERIA_BY_NAME["exponential_escort_rest_point"].runs[0]
+    CONSTANT = suite._GRADIENT_RUNS[3]  # Constant(1) on neg_identity, with ref
+
+    @pytest.mark.parametrize("observe_every", [100, 7])
+    def test_the_exponential_rest_point_takes_one_step(self, observe_every):
+        # the field is exactly [0, 0, 0] at the barycenter
+        run = dataclasses.replace(self.C08, observe_every=observe_every)
+        tr, steps = counting_steps(run.integrate)
+        assert steps == 1
+        assert_same_bits(tr, every_step(run.integrate))
+
+    @pytest.fixture(scope="class")
+    def constant_every_step(self):
+        return every_step(self.CONSTANT.integrate)
+
+    def test_constant_escort_stops_at_its_fixed_point(self, constant_every_step):
+        tr, steps = counting_steps(self.CONSTANT.integrate)
+        assert steps == 30_004 and self.CONSTANT.steps == 50_000
+        assert_same_bits(tr, constant_every_step)
+
+    def test_constant_escort_sampled_every_7th_step(self, constant_every_step):
+        # a sample is a function of its state alone, so the march sampled every
+        # 7th step records rows 0, 7, 14, ... and the last of the one sampled at every step
+        tr = dataclasses.replace(self.CONSTANT, observe_every=7).integrate()
+        assert_same_bits(tr, constant_every_step, rows=np.r_[0:50_001:7, 50_000])
+
+    def test_a_renormalized_rest_point(self):
+        # x0 sums to 1 + 1e-12: the first step renormalizes it, the second repeats it
+        x0 = tuple(np.full(3, (1.0 + 1e-12) / 3.0))
+        run = Run(Exponential(), "exp_decay", x0, 1.0, ref=tuple(barycenter(3).coords))
+        tr, steps = counting_steps(run.integrate)
+        assert abs(sum(x0) - 1.0) > dynamics.DRIFT_TOL and steps == 2
+        assert_same_bits(tr, every_step(run.integrate))
+
+    def test_a_moving_state_takes_every_step(self):
+        run = Run(Identity(), "rsp", X0_CYCLE, 1.0, observe_every=7, ref=tuple(barycenter(3).coords))
+        tr, steps = counting_steps(run.integrate)
+        assert steps == 1000
+        assert_same_bits(tr, every_step(run.integrate))
+
+    def test_the_formal_solution_stops_too(self):
+        # f = 0 leaves v and G as they are
+        def formal():
+            return integrate_formal_solution(Power(2.0), ZERO, X0_CYCLE, 1.0, 1e-3, observe_every=7)
+
+        tr, steps = counting_steps(formal)
+        assert steps == 1
+        assert_same_bits(tr, every_step(formal))
 
 
 def _antisymmetric(n, seed):

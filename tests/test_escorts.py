@@ -503,6 +503,36 @@ class TestBoundaryValues:
                 assert tr.termination.ok
 
 
+class TestOverflow:
+    """Values beyond float range are +-inf, the correctly rounded result, without a warning."""
+
+    @pytest.mark.parametrize("phi, u, expected", [
+        (Power(-1.5), 1e250, math.inf),  # (u^2.5 - 1) / 2.5
+        (Scaled(2.2e-308), 1e300, math.inf),  # log(u) / beta
+        (Power(3.0), 1e-300, -math.inf),  # (u^-2 - 1) / -2
+    ])
+    def test_log_beyond_float_range(self, phi, u, expected):
+        assert phi.log(u) == expected
+
+    def test_reciprocal_where_phi_underflows(self):
+        # v^2 is 0 at 1e-300 and v * 1e-10 subnormal: 1/phi overflows at both
+        assert Custom(lambda v: v * v, name="v^2").reciprocal(np.array([1e-300, 0.5])).tolist() == [math.inf, 4.0]
+        assert Custom(lambda v: 1e-10 * v, name="tiny").reciprocal(np.array([1e-300])).tolist() == [math.inf]
+        assert Power(2.0).reciprocal(np.array([0.5, 1e-300])).tolist() == [4.0, math.inf]
+
+    def test_reciprocal_of_a_negative_phi_raises(self):
+        phi = Custom(lambda v: v if v > 1e-200 else -1.0, name="negative near 0")
+        with pytest.raises(DomainError) as err:
+            phi.reciprocal(np.array([0.5, 1e-300]))
+        assert err.value.index == 1
+
+    def test_divergence_to_a_face_at_a_double_pole(self):
+        phi = Custom(lambda v: v * v, name="v^2")
+        face, center = np.array([0.5, 0.5, 0.0]), np.full(3, 1.0 / 3.0)
+        assert divergence_profile(phi, center, face[None, :]).tolist() == [math.inf]
+        assert divergence_profile(phi, face, center[None, :]).tolist() == [math.inf]
+
+
 class TestWeights:
     """``weights`` is the one evaluation of phi: at a float or an array, with
     each family's domain check and the ``index`` of the entry that fails it."""

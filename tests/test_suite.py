@@ -78,17 +78,40 @@ def test_plan_drops_duplicates_in_order():
     assert suite.plan([a, b]) == list(RUNS)
 
 
-def test_shares_balance_steps_and_keep_every_run():
-    shares = dynamics._shares(suite.plan(suite.CRITERIA), 2)
-    assert sorted(map(id, sum(shares, []))) == sorted(map(id, suite.plan(suite.CRITERIA)))
-    assert [sum(r.steps for r in share) for share in shares] == [350_000, 350_000]
+@pytest.mark.parametrize("cpus", [2, 4])  # 4: more children than this machine may have cores
+def test_the_queue_hands_out_every_run_once_in_order(monkeypatch, tmp_path, cpus):
+    # most RK4 steps first, formal first among equal steps, else in order of first use
+    runs = suite.plan(suite.CRITERIA)
+    order = dynamics._queue_order(runs)
+    assert sorted(map(id, order)) == sorted(map(id, runs))
+    keys = [(-r.steps, not r.formal, runs.index(r)) for r in order]
+    assert keys == sorted(keys)
+    # each process appends the queue positions it takes, as it takes them
+    log = tmp_path / "taken"
+
+    def take(run):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {order.index(run)}\n")
+        return run
+
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
+    results, processes = dynamics.run_all(take, runs)
+    assert results == runs and processes == 1 + cpus
+    taken = {}
+    for line in log.read_text().splitlines():
+        pid, i = map(int, line.split())
+        taken.setdefault(pid, []).append(i)
+    assert sorted(sum(taken.values(), [])) == list(range(len(order)))
+    assert taken.pop(os.getpid()) == [0]
+    assert all(positions == sorted(positions) for positions in taken.values())
+    assert_no_child()
 
 
 @pytest.mark.parametrize("cpus", [2, 3, 8])
 def test_forked_runs_equal_serial(monkeypatch, serial, cpus):
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
     report = suite.integrate_runs(RUNS)
-    assert (report.runs, report.processes) == (len(RUNS), min(cpus, len(RUNS)))
+    assert (report.runs, report.processes) == (len(RUNS), 1 + min(cpus, len(RUNS) - 1))
     assert report.steps == sum(run.steps for run in RUNS)
     assert set(suite._traj.store) == set(RUNS)
     assert_serial(serial)
@@ -133,6 +156,33 @@ def test_runs_of_a_child_that_cannot_start_are_done_here(monkeypatch, serial):
     monkeypatch.setattr(os, "fork", no_fork)
     assert suite.integrate_runs(RUNS).processes == 1
     assert_redone_here(serial)
+
+
+def test_this_process_always_integrates_the_same_run(monkeypatch):
+    # the runs that this process integrates depend on the runs alone, not on a race
+    parent, integrate, here = os.getpid(), Run.integrate, []
+
+    def integrate_and_note(run):
+        if os.getpid() == parent:
+            here.append(run)
+        return integrate(run)
+
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(Run, "integrate", integrate_and_note)
+    for _ in range(3):
+        suite.clear_cache()
+        suite.integrate_runs(RUNS)
+    assert here == [dynamics._queue_order(RUNS)[0]] * 3
+    assert_no_child()
+
+
+def test_a_queue_longer_than_a_pipe_holds(monkeypatch):
+    # 20,000 indices of 4 bytes are more than a 64 KiB pipe holds
+    runs = [Run(Identity(), "rsp", (i,), 1.0) for i in range(20_000)]
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    results, processes = dynamics.run_all(lambda run: run.x0[0], runs)
+    assert results == list(range(20_000)) and processes == 3
+    assert_no_child()
 
 
 def test_unreadable_child_data_is_redone_here(monkeypatch, serial):
