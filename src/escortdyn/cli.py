@@ -27,6 +27,7 @@ import json
 import math
 import operator
 import os
+import signal
 import sys
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
@@ -34,11 +35,12 @@ from typing import Optional
 import numpy as np
 
 from .analysis import _rel_drift, monotone_nonincreasing
-from .dynamics import BLOCK_ROWS, Run, Trajectory, _check_controls, run_all
+from . import dynamics
+from .dynamics import BLOCK_ROWS, Run, Trajectory, _check_controls, _diagnostics, run_all
 from .errors import ConfigError, DomainError, EscortError
 from .escorts import Constant, Escort, Exponential, Identity, Power, Scaled
 from .landscapes import BUILTIN_LANDSCAPES, FitnessLandscape
-from .simplex import SimplexPoint
+from .simplex import SimplexPoint, as_simplex
 
 EXIT_OK = 0
 EXIT_SUITE_FAIL = 1
@@ -199,10 +201,12 @@ def _norm_landscape(raw):
 # ---------------------------------------------------------------------------
 
 
-def write_trajectory(traj: Trajectory, path: str, fmt: str) -> None:
+def write_trajectory(traj: Trajectory, path: str, fmt: str, formatter=None) -> None:
     """Write a trajectory as CSV or JSON with round-trippable floats, BLOCK_ROWS
     rows at a time; a non-finite value is ``inf``/``-inf``/``nan`` in CSV and
-    ``null`` in JSON."""
+    ``null`` in JSON. ``formatter``, a ``_Formatter`` that was sent the
+    trajectory's samples, writes the rows' text; where it fails, or without one,
+    the rows are formatted here, with the same bytes."""
     names = ["t"] + [f"x_{i + 1}" for i in range(traj.n)] + ["escort_mean_fitness"]
     cols = [traj.times] + [traj.states[:, i] for i in range(traj.n)] + [traj.mean_fitness]
     if traj.lyapunov is not None:
@@ -222,18 +226,163 @@ def write_trajectory(traj: Trajectory, path: str, fmt: str) -> None:
         tail = f'\n ],\n "termination": {json.dumps(traj.termination.kind)}\n}}\n'
     with open(path, "w") as fh:
         fh.write(head)
-        for start in range(0, len(traj), BLOCK_ROWS):
-            block = np.column_stack([c[start : start + BLOCK_ROWS] for c in cols])
-            if as_csv:
-                fh.write("".join(",".join(map(repr, row)) + "\n" for row in block.tolist()))
-            else:  # each row at depth 2 of the document
-                text = (json.dumps([_json_float(v) for v in row], indent=1) for row in block.tolist())
-                fh.write((",\n" if start else "") + ",\n".join("  " + t.replace("\n", "\n  ") for t in text))
+        if formatter is None or not formatter.write_rows(fh, len(traj)):
+            for start in range(0, len(traj), BLOCK_ROWS):
+                fh.write(_format_rows(np.column_stack([c[start : start + BLOCK_ROWS] for c in cols]), as_csv, start))
         fh.write(tail)
+
+
+def _format_rows(block, as_csv: bool, start: int) -> str:
+    """The text of a block of rows that begins at row ``start`` of the file."""
+    if as_csv:
+        return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+    # each row at depth 2 of the document
+    text = (json.dumps([_json_float(v) for v in row], indent=1) for row in block.tolist())
+    return (",\n" if start else "") + ",\n".join("  " + t.replace("\n", "\n  ") for t in text)
 
 
 def _json_float(v):
     return None if v is None or not math.isfinite(v) else float(v)
+
+
+class _Formatter:
+    """A forked child that formats the rows of a run's trajectory while the run
+    marches, so that formatting overlaps the integration.
+
+    ``send`` is the run's sink (see ``dynamics._march``): it writes each block of
+    samples to the child as raw float64 rows ``t, x_1, ..., x_n, mean``. The
+    child adds the block's diagnostic columns with ``dynamics._diagnostics``,
+    which gives the bits of the whole run's call on a block that starts at a
+    multiple of BLOCK_ROWS, and formats it with ``_format_rows``. It keeps the
+    text until its input ends and only then writes it back, after its row count
+    and byte length: were it to write while the parent still writes to it, both
+    pipes could fill. ``write_rows`` ends the input and copies the answer to
+    the file; ``close`` kills and reaps the child where ``write_rows`` did not.
+    """
+
+    def __init__(self, run: Run, fmt: str):
+        """Fork the child; OSError when no process or pipe can be made."""
+        fds = []
+        try:
+            fds += os.pipe()  # the samples, to the child
+            fds += os.pipe()  # the text, back
+            pid = os.fork()
+        except OSError:
+            for fd in fds:
+                os.close(fd)
+            raise
+        data_in, data_out, text_in, text_out = fds
+        if pid == 0:  # the child never returns into the caller's frames
+            code = 1
+            try:
+                _close_fds_except(data_in, text_out)
+                rows, parts = _format_samples(data_in, run, fmt)
+                size = sum(map(len, parts))
+                _write_all(text_out, rows.to_bytes(8, "little") + size.to_bytes(8, "little"))
+                for part in parts:
+                    _write_all(text_out, part)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(data_in)
+        os.close(text_out)
+        self.sent, self.pid, self.out, self.back = 0, pid, data_out, text_in
+
+    def send(self, times, states, means):
+        """Write one block of samples to the child; after a failed write, nothing more."""
+        if self.out is None:
+            return
+        try:
+            _write_all(self.out, np.column_stack((times, states, means)).tobytes())
+        except OSError:  # the child has exited
+            self._end_input()
+        else:
+            self.sent += len(times)
+
+    def write_rows(self, fh, rows: int) -> bool:
+        """Copy the child's text of the run's ``rows`` samples to the text file
+        ``fh`` and reap the child; False, with ``fh`` cut back to where it was,
+        when the child died, exited non-zero or sent less."""
+        self._end_input()
+        start = fh.tell()
+        with os.fdopen(self.back, "rb") as src:  # read to the end, so that the child never blocks
+            self.back = None
+            header = src.read(16)
+            whole = len(header) == 16 and self.sent == rows == int.from_bytes(header[:8], "little")
+            left = int.from_bytes(header[8:], "little")
+            while chunk := src.read(COPY_BYTES):
+                if whole:
+                    fh.write(chunk.decode("ascii"))  # the child's text is ASCII: no character spans two chunks
+                left -= len(chunk)
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        if whole and left == 0 and status == 0:
+            return True
+        fh.seek(start)
+        fh.truncate()
+        return False
+
+    def _end_input(self):
+        if self.out is not None:
+            os.close(self.out)
+            self.out = None
+
+    def close(self):
+        """End the input, and kill and reap the child unless ``write_rows`` did."""
+        self._end_input()
+        if self.back is not None:
+            os.close(self.back)
+            self.back = None
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)  # a no-op for a child that has exited
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
+def _format_samples(fd, run: Run, fmt: str) -> tuple[int, list]:
+    """The number of samples read from ``fd`` until it ends, and their rows'
+    text with ``run``'s diagnostic columns as bytes, one part per block of
+    BLOCK_ROWS."""
+    n = len(run.x0)
+    ref = None if run.ref is None else as_simplex(np.array(run.ref)).coords  # as ``integrate`` takes it
+    parts, rows = [], 0
+    with os.fdopen(fd, "rb") as src, np.errstate(all="ignore"):  # the parent reports what warns
+        while data := src.read(BLOCK_ROWS * (n + 2) * 8):
+            block = np.frombuffer(data, dtype=float).reshape(-1, n + 2)
+            if ref is not None:
+                states = np.ascontiguousarray(block[:, 1 : n + 1])  # the layout of ``integrate``'s states
+                block = np.column_stack((block, *_diagnostics(run.phi, ref, states)))
+            parts.append(_format_rows(block, fmt == "csv", rows).encode("ascii"))
+            rows += len(block)
+    return rows, parts
+
+
+COPY_BYTES = 1 << 16  # bytes per read of the formatter's text: one pipe buffer
+
+
+def _write_all(fd, data):
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _close_fds_except(*keep):
+    """Close every descriptor of this process but ``keep``."""
+    low = 0
+    for fd in sorted(keep):
+        os.closerange(low, fd)
+        low = fd + 1
+    os.closerange(low, os.sysconf("SC_OPEN_MAX"))
+
+
+def _forks_formatter(run: Run) -> bool:
+    """Whether ``run`` formats its rows in a forked ``_Formatter``: with
+    ``os.fork``, two usable CPUs and room for more than one block of samples.
+    Otherwise a second process only costs its start."""
+    if not hasattr(os, "fork") or dynamics._usable_cpus() < 2:
+        return False
+    steps, every = run.steps, run.observe_every
+    return steps // every + 1 + (steps % every != 0) > BLOCK_ROWS
 
 
 def summarize(traj: Trajectory) -> dict:
@@ -283,12 +432,13 @@ def _load_config(path: str) -> RunConfig:
     return RunConfig.from_dict(_read_json(path))
 
 
-def _execute(config: RunConfig) -> tuple[int, Trajectory]:
-    """Integrate and write the config's run; DomainError when the dynamic or a
-    diagnostic is undefined at the initial state."""
-    traj = config.run.integrate()
+def _execute(config: RunConfig, formatter: Optional[_Formatter] = None) -> tuple[int, Trajectory]:
+    """Integrate and write the config's run, sending its samples to ``formatter``
+    when given; DomainError when the dynamic or a diagnostic is undefined at the
+    initial state."""
+    traj = config.run.integrate(sink=None if formatter is None else formatter.send)
     try:
-        write_trajectory(traj, config.output_path, config.output_format)
+        write_trajectory(traj, config.output_path, config.output_format, formatter)
     except OSError as err:
         raise ConfigError(f"cannot write output {config.output_path!r}: {err}") from None
     term = traj.termination
@@ -300,7 +450,18 @@ def _execute(config: RunConfig) -> tuple[int, Trajectory]:
 
 
 def cmd_run(args) -> int:
-    code, traj = _execute(_load_config(args.config))
+    config = _load_config(args.config)
+    formatter = None
+    try:
+        if _forks_formatter(config.run):
+            try:
+                formatter = _Formatter(config.run, config.output_format)
+            except OSError:  # no second process: the rows are formatted here
+                pass
+        code, traj = _execute(config, formatter)
+    finally:
+        if formatter is not None:
+            formatter.close()
     print(json.dumps(summarize(traj)))
     return code
 

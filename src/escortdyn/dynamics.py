@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, PositivityError
-from .escorts import Escort, _weighted_mean
+from .escorts import Escort, _inside, _weighted_mean
 from .geometry import divergence_profile
 from .landscapes import FitnessLandscape, builtin_landscape
 from .simplex import SimplexPoint, _as_interior, as_simplex
@@ -210,10 +210,14 @@ def _rk4_step(rhs, y, h, k1):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _march(rhs, y, h, n_steps, observe_every, accept=None):
+def _march(rhs, y, h, n_steps, observe_every, accept=None, sink=None):
     """Take ``n_steps`` RK4 steps of size ``h`` from ``y``; returns the samples
     at t = 0, at every ``observe_every``-th step and at the last accepted state
     as ``(times, states, means, termination)``, ``states`` an (m, n) array.
+    ``sink(times, states, means)``, when given, is handed the lists of each
+    block of BLOCK_ROWS samples as it fills, counted from sample 0, and the last
+    partial block at the end; it is called outside the steps, so its errors
+    propagate.
 
     ``rhs`` is evaluated once at each accepted state: that evaluation is the
     next step's first stage and leaves the state's ``(x, mean)`` in
@@ -236,6 +240,8 @@ def _march(rhs, y, h, n_steps, observe_every, accept=None):
         times.append(t)
         states.append(x.copy())
         means.append(float(mean))
+        if sink and len(times) % BLOCK_ROWS == 0:
+            sink(times[-BLOCK_ROWS:], states[-BLOCK_ROWS:], means[-BLOCK_ROWS:])
 
     k1 = rhs(y)
     sample = rhs.sample
@@ -265,6 +271,8 @@ def _march(rhs, y, h, n_steps, observe_every, accept=None):
             record(t, *sample)
     if times[-1] < t:
         record(t, *sample)
+    if sink and (rest := len(times) % BLOCK_ROWS):
+        sink(times[-rest:], states[-rest:], means[-rest:])
     return times, np.array(states), means, termination or Termination.completed()
 
 
@@ -276,6 +284,8 @@ def integrate(
     step: float = DEFAULT_STEP,
     observe_every: int = 1,
     ref=None,
+    *,
+    sink=None,
 ) -> Trajectory:
     """Integrate the escort flow with fixed-step classical Runge-Kutta 4.
 
@@ -289,6 +299,8 @@ def integrate(
     DomainError is not accepted: the run ends with ``boundary_exit`` at the
     last accepted state, which is recorded. The termination's ``reason``
     says why; as every non-finite value ends the run, the steps do not warn.
+    ``sink`` is handed the samples block by block as they are recorded (see
+    ``_march``); it changes no bit of the result.
     """
     n_steps, observe_every = _check_controls(t_end, step, observe_every)
     x = as_simplex(x0).coords.copy()
@@ -316,7 +328,7 @@ def integrate(
 
     field = _make_field(phi, f)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value ends the run
-        times, states, means, termination = _march(field, x, float(step), n_steps, observe_every, accept)
+        times, states, means, termination = _march(field, x, float(step), n_steps, observe_every, accept, sink)
     lyap, integral = (None, None) if ref is None else _diagnostics(phi, ref, states)
     return Trajectory(times, states, means, lyap, integral, termination)
 
@@ -360,12 +372,12 @@ class Run:
             return FitnessLandscape.matrix_escort(rows, self.phi)
         return FitnessLandscape.matrix_escort_log(rows, self.phi)
 
-    def integrate(self) -> Trajectory:
+    def integrate(self, *, sink=None) -> Trajectory:
         args = (self.phi, self.build_landscape(), np.array(self.x0), self.t_end, self.step)
         if self.formal:
-            return integrate_formal_solution(*args, observe_every=self.observe_every)
+            return integrate_formal_solution(*args, observe_every=self.observe_every, sink=sink)
         ref = None if self.ref is None else np.array(self.ref)
-        return integrate(*args, observe_every=self.observe_every, ref=ref)
+        return integrate(*args, observe_every=self.observe_every, ref=ref, sink=sink)
 
 
 def _usable_cpus() -> int:
@@ -528,6 +540,8 @@ def integrate_formal_solution(
     t_end: float,
     step: float = DEFAULT_STEP,
     observe_every: int = 1,
+    *,
+    sink=None,
 ) -> Trajectory:
     """Integrate the augmented system dv_i/dt = f_i(x), dG/dt = <f(x)>_phi.
 
@@ -536,14 +550,20 @@ def integrate_formal_solution(
     leaves the attainable range of exp_phi.
 
     The samples are the reconstructed states and their mean fitness, recorded
-    as they are (their sum drifts from 1 by the integration error).
+    as they are (their sum drifts from 1 by the integration error); ``sink``
+    is ``integrate``'s.
     """
     n_steps, observe_every = _check_controls(t_end, step, observe_every)
     xs = _as_interior(x0, "the formal solution")
     n = xs.n
 
+    lo, hi = phi.log_range()
+    closed = phi.has_closed_log
+
     def rhs(z):
-        x = phi.exp(z[:n] - z[n])
+        arg = z[:n] - z[n]
+        # the family's closed exp inside its range; phi.exp raises RangeError outside it
+        x = phi._exp(arg) if closed and _inside(arg, lo, hi) else phi.exp(arg)
         w = phi.weights(x)
         fx = f.evaluate(x)
         m = _escort_mean(f, w, fx)
@@ -557,5 +577,5 @@ def integrate_formal_solution(
     z[:n] = phi.log(xs.coords)
     z[n] = 0.0
 
-    times, states, means, termination = _march(rhs, z, float(step), n_steps, observe_every)
+    times, states, means, termination = _march(rhs, z, float(step), n_steps, observe_every, sink=sink)
     return Trajectory(times, states, means, None, None, termination)

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, RangeError
+from .errors import DimensionError, DomainError, QuadratureError, RangeError
 from .numerics import gauss_kronrod_log, invert_increasing
 from .simplex import as_simplex
 
@@ -72,8 +72,18 @@ class Escort:
         return float(out[0]) if scalar else out
 
     def _log(self, u):
-        """log_phi by quadrature: one integral from 1 per entry of the array ``u``."""
-        logs = [gauss_kronrod_log(self.reciprocal, 1.0, v, tol=LOG_QUAD_TOL) for v in u.ravel().tolist()]
+        """log_phi by quadrature: one integral from 1 per entry of the array ``u``.
+        Where phi underflows at an entry u > 0, 1/phi overflows there, and no
+        float integral reaches the value: QuadratureError names the entry."""
+        logs = []
+        for v in u.ravel().tolist():
+            try:
+                logs.append(gauss_kronrod_log(self.reciprocal, 1.0, v, tol=LOG_QUAD_TOL))
+            except QuadratureError:
+                if not (v > 0.0 and math.isinf(self.reciprocal(np.array([v]))[0])):
+                    raise
+                message = f"log_phi out of reach at u={v!r}: phi underflows to 0 (so 1/phi overflows) between u and 1"
+                raise QuadratureError(message) from None
         return np.array(logs).reshape(u.shape)
 
     def _exp_inversion(self, w, scalar):

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from escortdyn import Constant
+from escortdyn import Constant, cli, dynamics
 from escortdyn.cli import RunConfig, main
+from escortdyn.dynamics import BLOCK_ROWS
 from escortdyn import suite
 
 
@@ -523,6 +524,192 @@ class TestRunCommand:
         header, rows = read_csv(tmp_path / "out" / "run.csv")
         assert len(rows) >= 1
         assert rows[-1, 0] < 10.0
+
+
+class CheckedFormatter(cli._Formatter):
+    """A ``_Formatter`` that records whether its child's text was written."""
+
+    used = None
+
+    def write_rows(self, fh, rows):
+        self.used = super().write_rows(fh, rows)
+        return self.used
+
+
+# a linear game from which the exponential escort leaves the simplex at t = 0.752
+EXPONENTIAL_EXIT = {
+    "escort": {"family": "exponential"},
+    "landscape": {"matrix": [[-0.3, 0, 0], [0, 0.3, 0], [0, 0, 0]], "form": "linear"},
+    "x0": [0.05, 0.45, 0.5],
+    "t_end": 10.0,
+}
+
+
+class TestForkedFormatter:
+    """``run`` formats its rows in a forked child while the run marches when
+    ``os.fork`` exists, two CPUs are usable and the run can record more than one
+    block of samples. The exit code, the output, the messages and the file are
+    those of formatting in process, and what a failed child did not give is
+    formatted in process."""
+
+    def run(self, work, monkeypatch, capsys, cpus, config, before=None):
+        """(exit code, stdout, stderr, file bytes or None) of ``run`` of ``config``
+        through ``main`` in the new directory ``work`` with ``cpus`` usable CPUs,
+        and the formatters it made."""
+        work.mkdir()
+        monkeypatch.chdir(work)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: cpus)
+        made = []
+        monkeypatch.setattr(cli, "_Formatter", lambda run, fmt: made.append(CheckedFormatter(run, fmt)) or made[-1])
+        path, cfg = base_config(work, **config)
+        if before is not None:
+            before(work)
+        code = main(["run", "--config", str(path)])
+        out, err = capsys.readouterr()
+        output = work / cfg["output"]["path"]
+        return (code, out, err, output.read_bytes() if output.is_file() else None), made
+
+    def same_as_in_process(self, tmp_path, monkeypatch, capsys, config, before=None):
+        """The result of ``run`` with two CPUs, asserted equal to that with one,
+        which makes no formatter, and the formatters made with two."""
+        here, none = self.run(tmp_path / "one", monkeypatch, capsys, 1, config, before)
+        aside, made = self.run(tmp_path / "two", monkeypatch, capsys, 2, config, before)
+        assert none == []
+        assert aside == here
+        with pytest.raises(ChildProcessError):  # every child is reaped
+            os.waitpid(-1, os.WNOHANG)
+        return aside, made
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("samples", [BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 3 * BLOCK_ROWS + 1])
+    def test_blocks_are_the_bytes_formatted_in_process(self, tmp_path, monkeypatch, capsys, fmt, samples):
+        config = {"t_end": (samples - 1) * 1e-3, "observe_every": 1, "output": {"path": f"out/run.{fmt}", "format": fmt}}
+        (code, _, err, data), made = self.same_as_in_process(tmp_path, monkeypatch, capsys, config)
+        assert (code, err) == (0, "")
+        assert len(made) == 1 and made[0].used
+        if fmt == "csv":
+            assert data.count(b"\n") == samples + 1
+        else:
+            assert len(json.loads(data)["rows"]) == samples
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("samples", [2, BLOCK_ROWS])
+    def test_one_block_through_the_formatter(self, tmp_path, fmt, samples):
+        # run forks no formatter for one block; called directly, it gives the same bytes
+        from escortdyn import Identity
+        from escortdyn.cli import write_trajectory
+
+        run = dynamics.Run(Identity(), "rsp", (0.5, 0.3, 0.2), (samples - 1) * 1e-3, ref=(1 / 3, 1 / 3, 1 / 3))
+        formatter = CheckedFormatter(run, fmt)
+        try:
+            tr = run.integrate(sink=formatter.send)
+            write_trajectory(tr, str(tmp_path / "aside"), fmt, formatter)
+        finally:
+            formatter.close()
+        write_trajectory(run.integrate(), str(tmp_path / "here"), fmt)
+        assert len(tr) == samples and formatter.used
+        assert (tmp_path / "aside").read_bytes() == (tmp_path / "here").read_bytes()
+
+    def test_boundary_exit_in_a_block(self, tmp_path, monkeypatch, capsys):
+        config = {**EXPONENTIAL_EXIT, "observe_every": 1}
+        (code, out, err, data), made = self.same_as_in_process(tmp_path, monkeypatch, capsys, config)
+        assert (code, err) == (4, "")
+        assert json.loads(out)["stop"]["time"] == 0.752  # the step that left: the file ends before it
+        assert data.count(b"\n") == 752 + 1 and float(data.splitlines()[-1].split(b",")[0]) < 0.752
+        assert made[0].used
+
+    def test_fixed_point_fill(self, tmp_path, monkeypatch, capsys):
+        # c08: the field is 0 at the barycenter, so one step fills in 10,001 samples
+        config = {"escort": {"family": "exponential"}, "landscape": {"builtin": "exp_decay"},
+                  "x0": [1 / 3, 1 / 3, 1 / 3], "t_end": 10.0, "observe_every": 1, "refs": None}
+        (code, _, err, data), made = self.same_as_in_process(tmp_path, monkeypatch, capsys, config)
+        assert (code, err) == (0, "")
+        assert data.count(b"\n") == 10_001 + 1
+        assert made[0].used
+
+    def test_a_child_that_dies_is_made_up_for(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_format_samples", lambda *args: os._exit(9))
+        (code, _, err, _), made = self.same_as_in_process(tmp_path, monkeypatch, capsys, {"observe_every": 1})
+        assert (code, err) == (0, "")
+        assert made[0].used is False
+
+    def test_short_text_is_made_up_for(self, tmp_path, monkeypatch, capsys):
+        # the child writes half of its rows' text after a whole header, and exits 0
+        parent, write_all = os.getpid(), cli._write_all
+
+        def write_half(fd, data):
+            if os.getpid() != parent and len(data) > 16:
+                write_all(fd, data[: len(data) // 2])
+                os._exit(0)
+            write_all(fd, data)
+
+        monkeypatch.setattr(cli, "_write_all", write_half)
+        (code, _, err, _), made = self.same_as_in_process(tmp_path, monkeypatch, capsys, {"observe_every": 1})
+        assert (code, err) == (0, "")
+        assert made[0].used is False
+
+    def test_unwritable_output_exit_2(self, tmp_path, monkeypatch, capsys):
+        def block(work):
+            (work / "afile").write_text("a regular file, not a directory\n")
+
+        config = {"observe_every": 1, "output": {"path": "afile/run.csv", "format": "csv"}}
+        (code, out, err, data), made = self.same_as_in_process(tmp_path, monkeypatch, capsys, config, block)
+        assert (code, out, data) == (2, "", None)
+        assert err.startswith("config error: cannot write output 'afile/run.csv': ") and len(err.splitlines()) == 1
+        assert len(made) == 1
+
+    @pytest.mark.parametrize("existing", [None, b"left as it was\n"])
+    def test_domain_error_at_start_exit_3(self, tmp_path, monkeypatch, capsys, existing):
+        def write(work):
+            if existing is not None:
+                (work / "out").mkdir()
+                (work / "out" / "run.csv").write_bytes(existing)
+
+        config = {"escort": {"family": "power", "q": -1.0}, "x0": [0.5, 0.5, 0.0], "refs": None, "observe_every": 1}
+        (code, out, err, data), made = self.same_as_in_process(tmp_path, monkeypatch, capsys, config, write)
+        assert (code, out, data) == (3, "", existing)
+        assert err.startswith("domain error: ") and len(err.splitlines()) == 1
+        assert len(made) == 1
+
+    def test_an_interrupted_run_reaps_its_child(self, tmp_path, monkeypatch):
+        class Interrupted(cli._Formatter):
+            def send(self, times, states, means):
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_Formatter", Interrupted)
+        path, _ = base_config(tmp_path, observe_every=1)
+        with pytest.raises(KeyboardInterrupt):
+            run_cli("run", "--config", str(path), cwd=tmp_path)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_formats_in_process(self, tmp_path, monkeypatch):
+        def no_formatter(run, fmt):
+            raise AssertionError("sweep forked a formatter")
+
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_Formatter", no_formatter)
+        path, _ = base_config(tmp_path, escort={"family": "power", "q": 2.0}, observe_every=1)
+        proc = run_cli("sweep", "--config", str(path), "--param", "q", "--values", "1.5", cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_when_run_forks(self, monkeypatch):
+        from escortdyn import Identity
+
+        def forks(steps, every):
+            return cli._forks_formatter(dynamics.Run(Identity(), "rsp", (0.5, 0.3, 0.2), steps * 1e-3, observe_every=every))
+
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        # samples: t = 0, every ``every``-th step, and the last step
+        assert not forks(BLOCK_ROWS - 1, 1) and forks(BLOCK_ROWS, 1)
+        assert not forks(2 * BLOCK_ROWS - 2, 2) and forks(2 * BLOCK_ROWS - 1, 2)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 1)
+        assert not forks(BLOCK_ROWS, 1)
+        monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert not forks(BLOCK_ROWS, 1)
 
 
 class TestSweepCommand:

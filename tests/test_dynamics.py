@@ -37,6 +37,7 @@ from escortdyn.geometry import divergence_profile
 from escortdyn.suite import X0_CYCLE
 
 RSP = builtin_landscape("rsp")
+BARYCENTER_3 = tuple(barycenter(3).coords)
 ZERO = FitnessLandscape.custom(lambda x: np.zeros(len(x)), name="zero")
 ALL_ESCORTS = [Identity(), Scaled(2.0), Power(0.5), Power(2.0), Constant(1.0), Exponential()]
 CLOSED_FAMILIES = ALL_ESCORTS + [Power(-1.5)]
@@ -450,8 +451,10 @@ def reference_rk4(phi, f, x0, t_end, step):
     return np.array(states), np.array(means)
 
 
-def march_every_step(rhs, y, h, n_steps, observe_every, accept=None):
-    """``dynamics._march`` without its fixed-point stop: it takes every step."""
+def march_every_step(rhs, y, h, n_steps, observe_every, accept=None, sink=None):
+    """``dynamics._march`` without its fixed-point stop: it takes every step
+    (the runs it stands in for hand it no ``sink``)."""
+    assert sink is None
     stops = () if accept is None else DomainError
     times, states, means = [], [], []
 
@@ -563,6 +566,44 @@ class TestFixedPointStop:
         tr, steps = counting_steps(formal)
         assert steps == 1
         assert_same_bits(tr, every_step(formal))
+
+
+class TestSink:
+    """``integrate``'s sink is handed every sample once, in blocks of BLOCK_ROWS
+    counted from sample 0 and a last partial block, and changes no bit."""
+
+    RUNS = {
+        **{f"{m} samples": Run(Identity(), "rsp", X0_CYCLE, (m - 1) * 1e-2, 1e-2, ref=BARYCENTER_3)
+           for m in (2, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS, 2 * BLOCK_ROWS + 17)},
+        # c08 from the barycenter: one step, then 10,000 samples filled in from the fixed point
+        "fixed point": dataclasses.replace(TestFixedPointStop.C08, observe_every=1, ref=BARYCENTER_3),
+        "boundary exit": Run(Exponential(), ("linear", ((-0.3, 0.0, 0.0), (0.0, 0.3, 0.0), (0.0, 0.0, 0.0))),
+                             (0.05, 0.45, 0.5), 10.0, ref=BARYCENTER_3),
+        "formal": Run(Power(2.0), "rsp", X0_CYCLE, 1.5, formal=True),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_blocks_are_the_samples(self, name):
+        run, blocks = self.RUNS[name], []
+        tr = run.integrate(sink=lambda times, states, means: blocks.append((times, np.array(states), means)))
+        assert [len(b[0]) for b in blocks[:-1]] == [BLOCK_ROWS] * (len(blocks) - 1)
+        assert 0 < len(blocks[-1][0]) <= BLOCK_ROWS
+        assert np.concatenate([b[0] for b in blocks]).tobytes() == tr.times.tobytes()
+        assert np.concatenate([b[1] for b in blocks]).tobytes() == tr.states.tobytes()
+        assert np.concatenate([b[2] for b in blocks]).tobytes() == tr.mean_fitness.tobytes()
+        assert_same_bits(tr, run.integrate())
+
+    def test_the_stops_are_those_of_the_runs(self):
+        assert len(self.RUNS["fixed point"].integrate()) == 10_001
+        tr = self.RUNS["boundary exit"].integrate()
+        assert tr.termination.kind == "boundary_exit" and BLOCK_ROWS < len(tr) < 2 * BLOCK_ROWS
+
+    def test_an_error_of_the_sink_is_not_a_boundary_exit(self):
+        def sink(times, states, means):
+            raise DomainError("raised by the sink")
+
+        with pytest.raises(DomainError, match="raised by the sink"):
+            self.RUNS[f"{BLOCK_ROWS + 1} samples"].integrate(sink=sink)
 
 
 def _antisymmetric(n, seed):
@@ -782,6 +823,20 @@ class TestFormalSolution:
             integrate_formal_solution(Identity(), land, X0_CYCLE, t_end=5.0, step=1e-3)
         tr = integrate(Identity(), land, X0_CYCLE, t_end=5.0, step=1e-3)
         assert tr.termination == Termination("boundary_exit", time=2.229, index=None)
+
+    @pytest.mark.parametrize("phi", CLOSED_FAMILIES)
+    def test_closed_exp_is_the_public_exp(self, phi, monkeypatch):
+        # the stages call the family's closed _exp inside its range: the bits of phi.exp
+        x0 = [0.5, 0.3, 0.2]
+        fast = integrate_formal_solution(phi, RSP, x0, t_end=0.5, step=1e-2)
+        monkeypatch.setattr(dynamics, "_inside", lambda *args: False)
+        assert_same_bits(fast, integrate_formal_solution(phi, RSP, x0, t_end=0.5, step=1e-2))
+
+    def test_custom_escort_inverts_its_log(self):
+        x0 = [0.5, 0.3, 0.2]
+        custom = integrate_formal_solution(Custom(lambda v: v * v, name="v^2"), RSP, x0, t_end=0.05, step=1e-2)
+        closed = integrate_formal_solution(Power(2.0), RSP, x0, t_end=0.05, step=1e-2)
+        assert np.max(np.abs(custom.states - closed.states)) <= 1e-9
 
     def test_range_error_when_flow_crosses_boundary(self):
         from escortdyn import RangeError

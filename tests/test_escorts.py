@@ -359,6 +359,19 @@ class TestCustomQuadrature:
         assert abs(w - (1.0 - 1e-15)) <= 1e-12
         assert abs(phi.log(phi.exp(w)) - w) <= 1e-10
 
+    def test_floor_of_deep_logs(self):
+        # log_phi(u) = 1 - 1/u for phi = v^2 is finite at 1e-160 and 1e-200, but
+        # v^2 underflows below about 1e-154, so 1/phi overflows: no value is returned
+        phi = Custom(lambda v: v * v, name="v^2")
+        assert phi.log(1e-100) == -1.0000000000000103e100
+        for u in (1e-160, 1e-200):
+            message = f"log_phi out of reach at u={u!r}: phi underflows to 0 (so 1/phi overflows) between u and 1"
+            with pytest.raises(QuadratureError) as err:
+                phi.log(u)
+            assert str(err.value) == message
+            with pytest.raises(QuadratureError):
+                phi.log(np.array([0.5, u]))
+
     def test_log_evaluation_count(self):
         phi, count = counting_custom(lambda v: v + v * v)
         args = np.linspace(0.05, 5.0, 100)
