@@ -27,8 +27,10 @@ import json
 import math
 import operator
 import os
+import shutil
 import signal
 import sys
+import tempfile
 from dataclasses import MISSING, dataclass, fields, replace
 from typing import Optional
 
@@ -253,40 +255,37 @@ class _Formatter:
     samples to the child as raw float64 rows ``t, x_1, ..., x_n, mean``. The
     child adds the block's diagnostic columns with ``dynamics._diagnostics``,
     which gives the bits of the whole run's call on a block that starts at a
-    multiple of BLOCK_ROWS, and formats it with ``_format_rows``. It keeps the
-    text until its input ends and only then writes it back, after its row count
-    and byte length: were it to write while the parent still writes to it, both
-    pipes could fill. ``write_rows`` ends the input and copies the answer to
-    the file; ``close`` kills and reaps the child where ``write_rows`` did not.
+    multiple of BLOCK_ROWS, formats it with ``_format_rows`` and appends the
+    text to an unlinked temporary file opened before the fork, so neither
+    process holds more than a block. ``write_rows`` ends the input, reaps the
+    child and copies the file; ``close`` kills and reaps the child where
+    ``write_rows`` did not.
     """
 
     def __init__(self, run: Run, fmt: str):
-        """Fork the child; OSError when no process or pipe can be made."""
+        """Fork the child; OSError when no file, pipe or process can be made."""
+        self.text = tempfile.TemporaryFile("w+", encoding="ascii")
         fds = []
         try:
-            fds += os.pipe()  # the samples, to the child
-            fds += os.pipe()  # the text, back
+            fds += os.pipe()
             pid = os.fork()
         except OSError:
             for fd in fds:
                 os.close(fd)
+            self.text.close()
             raise
-        data_in, data_out, text_in, text_out = fds
+        data_in, data_out = fds
         if pid == 0:  # the child never returns into the caller's frames
             code = 1
             try:
-                _close_fds_except(data_in, text_out)
-                rows, parts = _format_samples(data_in, run, fmt)
-                size = sum(map(len, parts))
-                _write_all(text_out, rows.to_bytes(8, "little") + size.to_bytes(8, "little"))
-                for part in parts:
-                    _write_all(text_out, part)
+                _close_fds_except(data_in, self.text.fileno())
+                _format_samples(data_in, self.text, run, fmt)
+                self.text.flush()
                 code = 0
             finally:
                 os._exit(code)
         os.close(data_in)
-        os.close(text_out)
-        self.sent, self.pid, self.out, self.back = 0, pid, data_out, text_in
+        self.sent, self.pid, self.out = 0, pid, data_out
 
     def send(self, times, states, means):
         """Write one block of samples to the child; after a failed write, nothing more."""
@@ -300,27 +299,17 @@ class _Formatter:
             self.sent += len(times)
 
     def write_rows(self, fh, rows: int) -> bool:
-        """Copy the child's text of the run's ``rows`` samples to the text file
-        ``fh`` and reap the child; False, with ``fh`` cut back to where it was,
-        when the child died, exited non-zero or sent less."""
+        """Reap the child and copy its text of the run's ``rows`` samples to the
+        text file ``fh``; False, with nothing written, when a block did not reach
+        the child or it did not exit 0."""
         self._end_input()
-        start = fh.tell()
-        with os.fdopen(self.back, "rb") as src:  # read to the end, so that the child never blocks
-            self.back = None
-            header = src.read(16)
-            whole = len(header) == 16 and self.sent == rows == int.from_bytes(header[:8], "little")
-            left = int.from_bytes(header[8:], "little")
-            while chunk := src.read(COPY_BYTES):
-                if whole:
-                    fh.write(chunk.decode("ascii"))  # the child's text is ASCII: no character spans two chunks
-                left -= len(chunk)
         _, status = os.waitpid(self.pid, 0)
         self.pid = None
-        if whole and left == 0 and status == 0:
-            return True
-        fh.seek(start)
-        fh.truncate()
-        return False
+        if status != 0 or self.sent != rows:
+            return False
+        self.text.seek(0)
+        shutil.copyfileobj(self.text, fh)
+        return True
 
     def _end_input(self):
         if self.out is not None:
@@ -328,36 +317,31 @@ class _Formatter:
             self.out = None
 
     def close(self):
-        """End the input, and kill and reap the child unless ``write_rows`` did."""
+        """End the input, kill and reap the child unless ``write_rows`` did, and
+        drop the text."""
         self._end_input()
-        if self.back is not None:
-            os.close(self.back)
-            self.back = None
         if self.pid is not None:
             os.kill(self.pid, signal.SIGKILL)  # a no-op for a child that has exited
             os.waitpid(self.pid, 0)
             self.pid = None
+        self.text.close()
 
 
-def _format_samples(fd, run: Run, fmt: str) -> tuple[int, list]:
-    """The number of samples read from ``fd`` until it ends, and their rows'
-    text with ``run``'s diagnostic columns as bytes, one part per block of
-    BLOCK_ROWS."""
+def _format_samples(fd, out, run: Run, fmt: str) -> None:
+    """Write to the text file ``out`` the rows of the samples read from ``fd``
+    until it ends, with ``run``'s diagnostic columns, a block of BLOCK_ROWS at
+    a time."""
     n = len(run.x0)
     ref = None if run.ref is None else as_simplex(np.array(run.ref)).coords  # as ``integrate`` takes it
-    parts, rows = [], 0
+    rows = 0
     with os.fdopen(fd, "rb") as src, np.errstate(all="ignore"):  # the parent reports what warns
         while data := src.read(BLOCK_ROWS * (n + 2) * 8):
             block = np.frombuffer(data, dtype=float).reshape(-1, n + 2)
             if ref is not None:
                 states = np.ascontiguousarray(block[:, 1 : n + 1])  # the layout of ``integrate``'s states
                 block = np.column_stack((block, *_diagnostics(run.phi, ref, states)))
-            parts.append(_format_rows(block, fmt == "csv", rows).encode("ascii"))
+            out.write(_format_rows(block, fmt == "csv", rows))
             rows += len(block)
-    return rows, parts
-
-
-COPY_BYTES = 1 << 16  # bytes per read of the formatter's text: one pipe buffer
 
 
 def _write_all(fd, data):
@@ -379,10 +363,7 @@ def _forks_formatter(run: Run) -> bool:
     """Whether ``run`` formats its rows in a forked ``_Formatter``: with
     ``os.fork``, two usable CPUs and room for more than one block of samples.
     Otherwise a second process only costs its start."""
-    if not hasattr(os, "fork") or dynamics._usable_cpus() < 2:
-        return False
-    steps, every = run.steps, run.observe_every
-    return steps // every + 1 + (steps % every != 0) > BLOCK_ROWS
+    return hasattr(os, "fork") and dynamics._usable_cpus() >= 2 and run.samples > BLOCK_ROWS
 
 
 def summarize(traj: Trajectory) -> dict:

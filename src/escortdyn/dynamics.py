@@ -21,7 +21,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, PositivityError
-from .escorts import Escort, _inside, _weighted_mean
+from .escorts import Escort, _weighted_mean
 from .geometry import divergence_profile
 from .landscapes import FitnessLandscape, builtin_landscape
 from .simplex import SimplexPoint, _as_interior, as_simplex
@@ -362,6 +362,12 @@ class Run:
     def steps(self) -> int:
         return round(self.t_end / self.step)
 
+    @property
+    def samples(self) -> int:
+        """The samples of the run if it completes: t = 0, every
+        ``observe_every``-th step and the last (see ``_march``)."""
+        return self.steps // self.observe_every + 1 + (self.steps % self.observe_every != 0)
+
     def build_landscape(self) -> FitnessLandscape:
         if isinstance(self.landscape, str):
             return builtin_landscape(self.landscape)
@@ -373,9 +379,12 @@ class Run:
         return FitnessLandscape.matrix_escort_log(rows, self.phi)
 
     def integrate(self, *, sink=None) -> Trajectory:
+        """The run's trajectory; ``sink`` is ``integrate``'s, for a run that is not formal."""
         args = (self.phi, self.build_landscape(), np.array(self.x0), self.t_end, self.step)
         if self.formal:
-            return integrate_formal_solution(*args, observe_every=self.observe_every, sink=sink)
+            if sink is not None:
+                raise ConfigError("a formal run takes no sink")
+            return integrate_formal_solution(*args, observe_every=self.observe_every)
         ref = None if self.ref is None else np.array(self.ref)
         return integrate(*args, observe_every=self.observe_every, ref=ref, sink=sink)
 
@@ -540,8 +549,6 @@ def integrate_formal_solution(
     t_end: float,
     step: float = DEFAULT_STEP,
     observe_every: int = 1,
-    *,
-    sink=None,
 ) -> Trajectory:
     """Integrate the augmented system dv_i/dt = f_i(x), dG/dt = <f(x)>_phi.
 
@@ -550,20 +557,14 @@ def integrate_formal_solution(
     leaves the attainable range of exp_phi.
 
     The samples are the reconstructed states and their mean fitness, recorded
-    as they are (their sum drifts from 1 by the integration error); ``sink``
-    is ``integrate``'s.
+    as they are (their sum drifts from 1 by the integration error).
     """
     n_steps, observe_every = _check_controls(t_end, step, observe_every)
     xs = _as_interior(x0, "the formal solution")
     n = xs.n
 
-    lo, hi = phi.log_range()
-    closed = phi.has_closed_log
-
     def rhs(z):
-        arg = z[:n] - z[n]
-        # the family's closed exp inside its range; phi.exp raises RangeError outside it
-        x = phi._exp(arg) if closed and _inside(arg, lo, hi) else phi.exp(arg)
+        x = phi.exp(z[:n] - z[n])
         w = phi.weights(x)
         fx = f.evaluate(x)
         m = _escort_mean(f, w, fx)
@@ -577,5 +578,5 @@ def integrate_formal_solution(
     z[:n] = phi.log(xs.coords)
     z[n] = 0.0
 
-    times, states, means, termination = _march(rhs, z, float(step), n_steps, observe_every, sink=sink)
+    times, states, means, termination = _march(rhs, z, float(step), n_steps, observe_every)
     return Trajectory(times, states, means, None, None, termination)

@@ -128,6 +128,8 @@ class Escort:
 
 def _argument(u):
     """``u`` as a 1-d float array, and whether it was given as a scalar."""
+    if type(u) is np.ndarray and u.ndim == 1 and u.dtype == float:  # already one
+        return u, False
     arr = np.asarray(u, dtype=float)
     if arr.ndim > 1:
         raise DomainError(f"expected a float or a 1-d array, got shape {arr.shape}")

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -633,20 +634,35 @@ class TestForkedFormatter:
         assert (code, err) == (0, "")
         assert made[0].used is False
 
-    def test_short_text_is_made_up_for(self, tmp_path, monkeypatch, capsys):
-        # the child writes half of its rows' text after a whole header, and exits 0
-        parent, write_all = os.getpid(), cli._write_all
+    def test_a_child_that_fails_after_a_block_is_made_up_for(self, tmp_path, monkeypatch, capsys):
+        # the child writes the first block's text to its file, then exits 1: none of it is copied
+        parent, format_rows = os.getpid(), cli._format_rows
 
-        def write_half(fd, data):
-            if os.getpid() != parent and len(data) > 16:
-                write_all(fd, data[: len(data) // 2])
-                os._exit(0)
-            write_all(fd, data)
+        def fail_after_a_block(block, as_csv, start):
+            if os.getpid() != parent and start:
+                raise RuntimeError("a failure in the child")
+            return format_rows(block, as_csv, start)
 
-        monkeypatch.setattr(cli, "_write_all", write_half)
+        monkeypatch.setattr(cli, "_format_rows", fail_after_a_block)
         (code, _, err, _), made = self.same_as_in_process(tmp_path, monkeypatch, capsys, {"observe_every": 1})
         assert (code, err) == (0, "")
         assert made[0].used is False
+
+    def test_the_child_writes_each_block_as_it_comes(self):
+        # the text of a block reaches the file while the input is still open: no process holds the whole run
+        from escortdyn import Identity
+
+        run = dynamics.Run(Identity(), "rsp", (0.5, 0.3, 0.2), 3 * BLOCK_ROWS * 1e-3, ref=(1 / 3, 1 / 3, 1 / 3))
+        tr = run.integrate()
+        formatter = cli._Formatter(run, "csv")
+        try:
+            formatter.send(tr.times[:BLOCK_ROWS], tr.states[:BLOCK_ROWS], tr.mean_fitness[:BLOCK_ROWS])
+            deadline = time.monotonic() + 60
+            while os.fstat(formatter.text.fileno()).st_size == 0:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+        finally:
+            formatter.close()
 
     def test_unwritable_output_exit_2(self, tmp_path, monkeypatch, capsys):
         def block(work):

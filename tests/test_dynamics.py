@@ -579,7 +579,6 @@ class TestSink:
         "fixed point": dataclasses.replace(TestFixedPointStop.C08, observe_every=1, ref=BARYCENTER_3),
         "boundary exit": Run(Exponential(), ("linear", ((-0.3, 0.0, 0.0), (0.0, 0.3, 0.0), (0.0, 0.0, 0.0))),
                              (0.05, 0.45, 0.5), 10.0, ref=BARYCENTER_3),
-        "formal": Run(Power(2.0), "rsp", X0_CYCLE, 1.5, formal=True),
     }
 
     @pytest.mark.parametrize("name", RUNS)
@@ -604,6 +603,15 @@ class TestSink:
 
         with pytest.raises(DomainError, match="raised by the sink"):
             self.RUNS[f"{BLOCK_ROWS + 1} samples"].integrate(sink=sink)
+
+    def test_a_formal_run_takes_no_sink(self):
+        with pytest.raises(ConfigError, match="a formal run takes no sink"):
+            Run(Power(2.0), "rsp", X0_CYCLE, 1.5, formal=True).integrate(sink=lambda *block: None)
+
+    @pytest.mark.parametrize("steps, every", [(1, 1), (10, 1), (10, 3), (10, 5), (10, 20), (BLOCK_ROWS, 7)])
+    def test_samples_of_a_completed_run(self, steps, every):
+        run = Run(Identity(), "rsp", X0_CYCLE, steps * 1e-2, 1e-2, observe_every=every)
+        assert len(run.integrate()) == run.samples
 
 
 def _antisymmetric(n, seed):
@@ -823,14 +831,6 @@ class TestFormalSolution:
             integrate_formal_solution(Identity(), land, X0_CYCLE, t_end=5.0, step=1e-3)
         tr = integrate(Identity(), land, X0_CYCLE, t_end=5.0, step=1e-3)
         assert tr.termination == Termination("boundary_exit", time=2.229, index=None)
-
-    @pytest.mark.parametrize("phi", CLOSED_FAMILIES)
-    def test_closed_exp_is_the_public_exp(self, phi, monkeypatch):
-        # the stages call the family's closed _exp inside its range: the bits of phi.exp
-        x0 = [0.5, 0.3, 0.2]
-        fast = integrate_formal_solution(phi, RSP, x0, t_end=0.5, step=1e-2)
-        monkeypatch.setattr(dynamics, "_inside", lambda *args: False)
-        assert_same_bits(fast, integrate_formal_solution(phi, RSP, x0, t_end=0.5, step=1e-2))
 
     def test_custom_escort_inverts_its_log(self):
         x0 = [0.5, 0.3, 0.2]

@@ -453,6 +453,17 @@ class TestArrayArguments:
             phi.exp(np.array([0.0, 0.1, -0.1, w]))
         assert err.value.index == 3
 
+    @pytest.mark.parametrize("phi", SCALAR_FAMILIES + [custom_quadratic()])
+    def test_other_arguments_convert_to_a_float_array(self, phi):
+        # a 1-d float64 array is taken as it is; a list, an int or a float32 array is converted
+        ws = np.array([-0.5, 0.0, 0.25])
+        want = phi.exp(ws).tolist()
+        assert phi.exp(ws.tolist()).tolist() == want
+        assert phi.exp(ws.astype(np.float32)).tolist() == want
+        assert phi.exp(np.array([0, 0])).tolist() == phi.exp(np.zeros(2)).tolist()
+        with pytest.raises(DomainError):
+            phi.exp(ws.reshape(1, 3))
+
     @pytest.mark.parametrize("method", ["weights", "log", "exp", "reciprocal"])
     @pytest.mark.parametrize("phi", SCALAR_FAMILIES + [Power(1 + 1e-12), Power(0.0), Power(-1.5)])
     def test_empty_array_gives_an_empty_array(self, phi, method):
