@@ -28,7 +28,6 @@ import math
 import operator
 import os
 import shutil
-import signal
 import sys
 import tempfile
 from dataclasses import MISSING, dataclass, fields, replace
@@ -238,9 +237,10 @@ def _format_rows(block, as_csv: bool, start: int) -> str:
     """The text of a block of rows that begins at row ``start`` of the file."""
     if as_csv:
         return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
-    # each row at depth 2 of the document
-    text = (json.dumps([_json_float(v) for v in row], indent=1) for row in block.tolist())
-    return (",\n" if start else "") + ",\n".join("  " + t.replace("\n", "\n  ") for t in text)
+    # each row at depth 2 of the document, as json.dumps(doc, indent=1) writes it
+    text = ("  [\n   " + ",\n   ".join(repr(v) if math.isfinite(v) else "null" for v in row) + "\n  ]"
+            for row in block.tolist())
+    return (",\n" if start else "") + ",\n".join(text)
 
 
 def _json_float(v):
@@ -253,13 +253,13 @@ class _Formatter:
 
     ``send`` is the run's sink (see ``dynamics._march``): it writes each block of
     samples to the child as raw float64 rows ``t, x_1, ..., x_n, mean``. The
-    child adds the block's diagnostic columns with ``dynamics._diagnostics``,
-    which gives the bits of the whole run's call on a block that starts at a
-    multiple of BLOCK_ROWS, formats it with ``_format_rows`` and appends the
-    text to an unlinked temporary file opened before the fork, so neither
-    process holds more than a block. ``write_rows`` ends the input, reaps the
-    child and copies the file; ``close`` kills and reaps the child where
-    ``write_rows`` did not.
+    child (a ``dynamics._Child``) adds the block's diagnostic columns with
+    ``dynamics._diagnostics``, which gives the bits of the whole run's call on a
+    block that starts at a multiple of BLOCK_ROWS, formats it with
+    ``_format_rows`` and appends the text to an unlinked temporary file opened
+    before the fork, so neither process holds more than a block; it sends back
+    the number of rows it wrote. ``write_rows`` ends the input and copies the
+    file when that number is the run's; ``close`` reaps the child.
     """
 
     def __init__(self, run: Run, fmt: str):
@@ -268,69 +268,44 @@ class _Formatter:
         fds = []
         try:
             fds += os.pipe()
-            pid = os.fork()
+            self.child = dynamics._Child(lambda: _format_samples(fds[0], self.text, run, fmt), close=fds[1:])
         except OSError:
             for fd in fds:
                 os.close(fd)
             self.text.close()
             raise
-        data_in, data_out = fds
-        if pid == 0:  # the child never returns into the caller's frames
-            code = 1
-            try:
-                _close_fds_except(data_in, self.text.fileno())
-                _format_samples(data_in, self.text, run, fmt)
-                self.text.flush()
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(data_in)
-        self.sent, self.pid, self.out = 0, pid, data_out
+        os.close(fds[0])
+        self.out = open(fds[1], "wb", buffering=0)
 
     def send(self, times, states, means):
-        """Write one block of samples to the child; after a failed write, nothing more."""
-        if self.out is None:
-            return
+        """Write one block of samples to the child, unless it has exited."""
         try:
-            _write_all(self.out, np.column_stack((times, states, means)).tobytes())
-        except OSError:  # the child has exited
-            self._end_input()
-        else:
-            self.sent += len(times)
+            _write_all(self.out.fileno(), np.column_stack((times, states, means)).tobytes())
+        except OSError:  # no reader: the child has exited, so the rows are formatted in process
+            pass
 
     def write_rows(self, fh, rows: int) -> bool:
-        """Reap the child and copy its text of the run's ``rows`` samples to the
-        text file ``fh``; False, with nothing written, when a block did not reach
-        the child or it did not exit 0."""
-        self._end_input()
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = None
-        if status != 0 or self.sent != rows:
+        """Copy the child's text of the run's ``rows`` samples to the text file
+        ``fh``; False, with nothing written, when the child did not write them
+        all."""
+        self.out.close()
+        if self.child.result() != rows:
             return False
         self.text.seek(0)
         shutil.copyfileobj(self.text, fh)
         return True
 
-    def _end_input(self):
-        if self.out is not None:
-            os.close(self.out)
-            self.out = None
-
     def close(self):
-        """End the input, kill and reap the child unless ``write_rows`` did, and
-        drop the text."""
-        self._end_input()
-        if self.pid is not None:
-            os.kill(self.pid, signal.SIGKILL)  # a no-op for a child that has exited
-            os.waitpid(self.pid, 0)
-            self.pid = None
+        """End the input, reap the child and drop the text."""
+        self.out.close()
+        self.child.reap()
         self.text.close()
 
 
-def _format_samples(fd, out, run: Run, fmt: str) -> None:
+def _format_samples(fd, out, run: Run, fmt: str) -> int:
     """Write to the text file ``out`` the rows of the samples read from ``fd``
     until it ends, with ``run``'s diagnostic columns, a block of BLOCK_ROWS at
-    a time."""
+    a time; flush it and return the number of rows."""
     n = len(run.x0)
     ref = None if run.ref is None else as_simplex(np.array(run.ref)).coords  # as ``integrate`` takes it
     rows = 0
@@ -342,6 +317,8 @@ def _format_samples(fd, out, run: Run, fmt: str) -> None:
                 block = np.column_stack((block, *_diagnostics(run.phi, ref, states)))
             out.write(_format_rows(block, fmt == "csv", rows))
             rows += len(block)
+    out.flush()
+    return rows
 
 
 def _write_all(fd, data):
@@ -350,20 +327,11 @@ def _write_all(fd, data):
         view = view[os.write(fd, view):]
 
 
-def _close_fds_except(*keep):
-    """Close every descriptor of this process but ``keep``."""
-    low = 0
-    for fd in sorted(keep):
-        os.closerange(low, fd)
-        low = fd + 1
-    os.closerange(low, os.sysconf("SC_OPEN_MAX"))
-
-
 def _forks_formatter(run: Run) -> bool:
     """Whether ``run`` formats its rows in a forked ``_Formatter``: with
     ``os.fork``, two usable CPUs and room for more than one block of samples.
     Otherwise a second process only costs its start."""
-    return hasattr(os, "fork") and dynamics._usable_cpus() >= 2 and run.samples > BLOCK_ROWS
+    return dynamics._fork_cpus() >= 2 and run.samples > BLOCK_ROWS
 
 
 def summarize(traj: Trajectory) -> dict:

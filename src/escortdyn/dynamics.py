@@ -14,7 +14,6 @@ import operator
 import os
 import pickle
 import signal
-import threading
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -396,6 +395,54 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _fork_cpus() -> int:
+    """The CPUs this process may share with forked helpers: 1 without ``os.fork``."""
+    return _usable_cpus() if hasattr(os, "fork") else 1
+
+
+class _Child:
+    """A forked child that closes the descriptors ``close``, runs ``body()`` and
+    pickles its return value back over a pipe; it never returns into the
+    caller's frames. OSError when no pipe or process can be made."""
+
+    def __init__(self, body, close=()):
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(r)
+            os.close(w)
+            raise
+        if pid == 0:
+            try:
+                for fd in (r, *close):
+                    os.close(fd)
+                with os.fdopen(w, "wb") as out:
+                    pickle.dump(body(), out, pickle.HIGHEST_PROTOCOL)
+            finally:
+                os._exit(0)  # the pipe, not the exit status, says whether the body returned
+        os.close(w)
+        self.pid, self.fd = pid, r
+
+    def result(self):
+        """The body's return value, waiting for it; None when the child died or
+        sent something unreadable."""
+        try:
+            with os.fdopen(self.fd, "rb", closefd=False) as fh:
+                return pickle.load(fh)
+        except Exception:
+            return None
+
+    def reap(self):
+        """Kill the child unless it has exited, wait for it and close the pipe;
+        a second call does nothing."""
+        if self.pid is not None:
+            os.kill(self.pid, signal.SIGKILL)  # a no-op for a child that has exited
+            os.waitpid(self.pid, 0)
+            os.close(self.fd)
+            self.pid = None
+
+
 QUEUE_RECORD = 4  # bytes per run index in the queue pipe
 QUEUE_WRITE = 512  # bytes per write to it: at most POSIX's PIPE_BUF, so each write is atomic
 
@@ -409,7 +456,8 @@ def _queue_order(runs) -> list:
 def _feed(fd, indices):
     """Write ``indices`` to the queue pipe ``fd`` and close it. Each write holds
     whole records and is atomic, so every read of one record gets one index;
-    the feed stops early when no child is left to read."""
+    the feed waits while the pipe is full and stops early when no child is left
+    to read."""
     data = b"".join(i.to_bytes(QUEUE_RECORD, "little") for i in indices)
     try:
         for start in range(0, len(data), QUEUE_WRITE):
@@ -433,82 +481,44 @@ def _take(fn, order, fd) -> dict:
     return done
 
 
-def _fork_child(fn, order, queue):
-    """Start a child that takes runs of ``order`` from the ``queue`` pipe's read
-    end and pickles the result of ``_take`` back over a pipe; returns (pid, read
-    end), or None when no process can be started."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # its runs are done by the other processes
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:  # the child never returns into the caller's frames
-        code = 1
-        try:
-            os.close(r)
-            os.close(queue[1])  # else the queue would never read as closed
-            with os.fdopen(w, "wb") as out:
-                pickle.dump(_take(fn, order, queue[0]), out, pickle.HIGHEST_PROTOCOL)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
-def _read_results(fd) -> dict:
-    """A child's result, or {} when it died or sent something unreadable."""
-    try:
-        with os.fdopen(fd, "rb", closefd=False) as fh:
-            done = pickle.load(fh)
-    except Exception:
-        return {}
-    return done if isinstance(done, dict) else {}
-
-
 def run_all(fn, runs) -> tuple[list, int]:
     """``[fn(run) for run in runs]``, and the number of processes that took part.
 
-    The distinct runs are queued in ``_queue_order``. This process does the
-    first itself, while k = min(usable CPUs, runs - 1) forked children take the
-    others from one pipe of run indices and each pickles its results back; with
-    one CPU or without ``os.fork`` every run is done here, serially. Which runs
-    this process does is fixed by the runs alone. A run whose ``fn`` raised, or
+    The distinct runs are queued in ``_queue_order``. k = min(usable CPUs,
+    runs - 1) forked children (``_Child``) take all but the first from one pipe
+    of run indices, which this process writes after the last fork before doing
+    the first run itself, and each pickles its results back; with one CPU or
+    without ``os.fork`` every run is done here, serially. Which runs this
+    process does is fixed by the runs alone. A run whose ``fn`` raised, or
     whose child died or sent unreadable data, is done again here, in order, and
     raises as it would serially. Equal runs give one result.
     """
     order = _queue_order(runs)
-    cpus = _usable_cpus() if hasattr(os, "fork") else 1
+    cpus = _fork_cpus()
     k = min(cpus, len(order) - 1) if cpus > 1 else 0
-    done, children, feeder = {}, [], None  # children: (pid, read end) of those not yet reaped
+    done, children = {}, []
     try:
         if k > 0:
             r, w = os.pipe()
-            feeder = threading.Thread(target=_feed, args=(w, range(1, len(order))), daemon=True)
             try:
                 for _ in range(k):
-                    child = _fork_child(fn, order, (r, w))
-                    if child is not None:
-                        children.append(child)
+                    try:
+                        children.append(_Child(lambda: _take(fn, order, r), close=(w,)))
+                    except OSError:  # its runs are done by the other processes
+                        pass
             finally:
                 os.close(r)  # with no child left to read, the feed stops
-                feeder.start()  # after the last fork, so that no fork copies a running thread
+                _feed(w, range(1, len(order)))
         if children:
             try:
                 done[order[0]] = fn(order[0])
             except Exception:
                 pass
-            for _, fd in children:
-                done.update((order[i], result) for i, result in _read_results(fd).items())
+            for child in children:
+                done.update((order[i], result) for i, result in (child.result() or {}).items())
     finally:
-        for pid, fd in children:
-            os.kill(pid, signal.SIGKILL)  # a no-op for a child that has exited
-            os.waitpid(pid, 0)
-            os.close(fd)
-        if feeder is not None:
-            feeder.join()
+        for child in children:
+            child.reap()
     results = []
     for run in runs:
         if run not in done:

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import select
+import time
 import tracemalloc
 import warnings
 
@@ -612,6 +615,54 @@ class TestSink:
     def test_samples_of_a_completed_run(self, steps, every):
         run = Run(Identity(), "rsp", X0_CYCLE, steps * 1e-2, 1e-2, observe_every=every)
         assert len(run.integrate()) == run.samples
+
+
+class TestChild:
+    """``dynamics._Child``: a forked body's return value reaches the parent, or
+    None when the body did not return; reaping ends the child in any state."""
+
+    def result(self, body, close=()):
+        child = dynamics._Child(body, close)
+        try:
+            return child.result()
+        finally:
+            child.reap()
+
+    def test_the_return_value_reaches_the_parent(self):
+        assert self.result(lambda: {3: [0.1, float("inf")]}) == {3: [0.1, float("inf")]}
+        assert self.result(os.getpid) != os.getpid()
+
+    def test_a_body_that_raises_gives_none(self):
+        def body():
+            raise RuntimeError("only in the child")
+
+        assert self.result(body) is None
+
+    def test_a_body_that_exits_gives_none(self):
+        assert self.result(lambda: os._exit(9)) is None
+
+    def test_the_listed_ends_are_closed_in_the_child(self):
+        r, w = os.pipe()
+        child = dynamics._Child(lambda: time.sleep(60), close=(w,))
+        try:
+            os.close(w)  # the child's copy was the last other write end
+            assert select.select([r], [], [], 10)[0] == [r] and os.read(r, 1) == b""
+            assert os.waitpid(child.pid, os.WNOHANG) == (0, 0)  # still sleeping
+        finally:
+            os.close(r)
+            child.reap()
+
+    def test_reaping_twice_is_harmless(self):
+        child = dynamics._Child(lambda: 1)
+        assert child.result() == 1
+        child.reap()
+        child.reap()
+
+    def test_reaping_a_stuck_child_is_quick(self):
+        child = dynamics._Child(lambda: time.sleep(60))
+        t0 = time.monotonic()
+        child.reap()
+        assert time.monotonic() - t0 < 5
 
 
 def _antisymmetric(n, seed):

@@ -8,6 +8,7 @@ runs the full plan.
 import math
 import os
 import pickle
+import threading
 import time
 
 import numpy as np
@@ -182,6 +183,42 @@ def test_a_queue_longer_than_a_pipe_holds(monkeypatch):
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     results, processes = dynamics.run_all(lambda run: run.x0[0], runs)
     assert results == list(range(20_000)) and processes == 3
+    assert_no_child()
+
+
+def test_the_queue_is_fed_without_a_thread(monkeypatch):
+    # a queue longer than a pipe holds, so a feeding thread would still be writing during the caller's run
+    parent, counts = os.getpid(), [threading.active_count()]
+
+    def note(run):
+        if os.getpid() == parent:
+            counts.append(threading.active_count())
+        return run.x0[0]
+
+    runs = [Run(Identity(), "rsp", (i,), 1.0) for i in range(20_000)]
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    results, processes = dynamics.run_all(note, runs)
+    counts.append(threading.active_count())
+    assert results == list(range(20_000)) and processes == 3
+    assert len(set(counts)) == 1
+    assert_no_child()
+
+
+def test_a_feed_that_no_child_reads_stops(monkeypatch):
+    # every child exits at its first run: the caller's feed stops on EPIPE and the caller does every run
+    parent = os.getpid()
+
+    def first_in_parent(run):
+        if os.getpid() != parent:
+            os._exit(9)
+        return run.x0[0]
+
+    runs = [Run(Identity(), "rsp", (i,), 1.0) for i in range(20_000)]
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    t0 = time.perf_counter()
+    results, processes = dynamics.run_all(first_in_parent, runs)
+    assert results == list(range(20_000)) and processes == 3
+    assert time.perf_counter() - t0 < 30
     assert_no_child()
 
 
