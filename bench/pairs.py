@@ -2,7 +2,9 @@
 
     python3 bench/pairs.py --base HEAD --out BENCH.json
 
-The base commit is unpacked with ``git archive`` into a temporary directory.
+The base commit is unpacked with ``git archive`` into a temporary directory
+under ``.bench_build/``, which is removed at the end, on an error and on
+SIGTERM (turned into ``SystemExit``).
 BENCHMARK.json fixes the command, the run length T and, unless ``--workloads``
 names others (``sweep_q`` is not gated), the workloads. Each of ``PAIRS``
 pairs per workload runs ``<command> --workload W --seed S --seconds T --trace
@@ -20,8 +22,10 @@ import argparse
 import json
 import os
 import platform
+import signal
 import statistics
 import subprocess
+import sys
 import tempfile
 
 import numpy
@@ -87,6 +91,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=1, help="the first pair's seed; pair i takes seed + i")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))  # unwinds, so the trees are removed
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
@@ -96,7 +101,8 @@ def main(argv=None):
            "numpy": numpy.__version__, "base": git("rev-parse", args.base), "change": git("rev-parse", "HEAD"),
            "change_dirty": tree != git("rev-parse", "HEAD^{tree}"), "change_tree": entries,
            "seconds": bench["run_seconds"], "workloads": {}}
-    with tempfile.TemporaryDirectory() as base:
+    os.makedirs(os.path.join(ROOT, ".bench_build"), exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=os.path.join(ROOT, ".bench_build")) as base:
         archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
         trees = {"base": base, "change": ROOT}

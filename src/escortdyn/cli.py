@@ -280,7 +280,7 @@ class _Formatter:
     def send(self, times, states, means):
         """Write one block of samples to the child, unless it has exited."""
         try:
-            _write_all(self.out.fileno(), np.column_stack((times, states, means)).tobytes())
+            _write_all(self.out.fileno(), np.column_stack((times, states, means)))
         except OSError:  # no reader: the child has exited, so the rows are formatted in process
             pass
 
@@ -322,7 +322,7 @@ def _format_samples(fd, out, run: Run, fmt: str) -> int:
 
 
 def _write_all(fd, data):
-    view = memoryview(data)
+    view = memoryview(data).cast("B")  # the bytes of a C-contiguous array of any shape
     while view:
         view = view[os.write(fd, view):]
 

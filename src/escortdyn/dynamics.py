@@ -209,14 +209,21 @@ def _rk4_step(rhs, y, h, k1):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _sample_count(n_steps, observe_every) -> int:
+    """The samples of a completed march: t = 0, every ``observe_every``-th step and the last."""
+    return n_steps // observe_every + 1 + (n_steps % observe_every != 0)
+
+
 def _march(rhs, y, h, n_steps, observe_every, accept=None, sink=None):
     """Take ``n_steps`` RK4 steps of size ``h`` from ``y``; returns the samples
     at t = 0, at every ``observe_every``-th step and at the last accepted state
     as ``(times, states, means, termination)``, ``states`` an (m, n) array.
-    ``sink(times, states, means)``, when given, is handed the lists of each
-    block of BLOCK_ROWS samples as it fills, counted from sample 0, and the last
-    partial block at the end; it is called outside the steps, so its errors
-    propagate.
+    Each sample is written once into arrays of ``_sample_count`` rows allocated
+    before the first step (ConfigError when they cannot be); a march that stops
+    early returns copies of its rows. ``sink(times, states, means)``, when
+    given, is handed row views of each block of BLOCK_ROWS samples as it fills,
+    counted from sample 0, and of the last partial block at the end; it is
+    called outside the steps, so its errors propagate.
 
     ``rhs`` is evaluated once at each accepted state: that evaluation is the
     next step's first stage and leaves the state's ``(x, mean)`` in
@@ -228,22 +235,35 @@ def _march(rhs, y, h, n_steps, observe_every, accept=None, sink=None):
 
     An accepted state with the same bytes as the one it was stepped from is a
     fixed point of the step (``rhs`` is a function of the state alone), so
-    every later step repeats it: the march records the remaining samples from
-    the sample already taken there and stops. Comparing bytes keeps -0.0 and
-    0.0 apart, so this is exact.
+    every later step repeats it: the march fills the remaining samples' rows
+    from the sample already taken there and stops. Comparing bytes keeps -0.0
+    and 0.0 apart, so this is exact.
     """
     stops = () if accept is None else DomainError
-    times, states, means = [], [], []
-
-    def record(t, x, mean):
-        times.append(t)
-        states.append(x.copy())
-        means.append(float(mean))
-        if sink and len(times) % BLOCK_ROWS == 0:
-            sink(times[-BLOCK_ROWS:], states[-BLOCK_ROWS:], means[-BLOCK_ROWS:])
-
     k1 = rhs(y)
     sample = rhs.sample
+    m, n = _sample_count(n_steps, observe_every), sample[0].size
+    try:
+        states, times, means = np.empty((m, n)), np.empty(m), np.empty(m)
+    except (MemoryError, ValueError):  # ValueError: more bytes than an array can address
+        raise ConfigError(f"the run's {m} samples need {8 * m * (n + 2)} bytes, more than can be allocated: "
+                          "raise observe_every") from None
+    rows = sent = 0  # the rows written, and those handed to the sink
+
+    def flush():
+        nonlocal sent
+        for start in range(sent, rows, BLOCK_ROWS):
+            block = slice(start, min(start + BLOCK_ROWS, rows))
+            sink(times[block], states[block], means[block])
+        sent = rows
+
+    def record(t, x, mean):
+        nonlocal rows
+        times[rows], states[rows], means[rows] = t, x, mean
+        rows += 1
+        if sink and rows % BLOCK_ROWS == 0:
+            flush()
+
     record(0.0, *sample)
     t, termination = 0.0, None  # the time of the last accepted state; None while running
     for k in range(n_steps):
@@ -260,19 +280,21 @@ def _march(rhs, y, h, n_steps, observe_every, accept=None, sink=None):
             termination = Termination.boundary_exit(t, err.index, str(err))
             break
         if fixed:  # steps k + 1, ..., n_steps all end at y, whose sample is taken
-            first = -(-(k + 1) // observe_every) * observe_every
-            for j in range(first, n_steps + 1, observe_every):
-                record(j * h, *sample)
-            t = n_steps * h
+            grid = np.arange(-(-(k + 1) // observe_every) * observe_every, n_steps + 1, observe_every)
+            fill = slice(rows, rows + grid.size)
+            times[fill], states[fill], means[fill] = grid * h, *sample
+            rows, t = fill.stop, n_steps * h
             break
         y, t, sample = y_new, t_new, rhs.sample  # the next step's stages overwrite rhs.sample
         if (k + 1) % observe_every == 0:
             record(t, *sample)
-    if times[-1] < t:
+    if times[rows - 1] < t:
         record(t, *sample)
-    if sink and (rest := len(times) % BLOCK_ROWS):
-        sink(times[-rest:], states[-rest:], means[-rest:])
-    return times, np.array(states), means, termination or Termination.completed()
+    if sink:
+        flush()
+    if rows < m:  # copies, so that the unused rows are freed
+        times, states, means = times[:rows].copy(), states[:rows].copy(), means[:rows].copy()
+    return times, states, means, termination or Termination.completed()
 
 
 def integrate(
@@ -365,7 +387,7 @@ class Run:
     def samples(self) -> int:
         """The samples of the run if it completes: t = 0, every
         ``observe_every``-th step and the last (see ``_march``)."""
-        return self.steps // self.observe_every + 1 + (self.steps % self.observe_every != 0)
+        return _sample_count(self.steps, self.observe_every)
 
     def build_landscape(self) -> FitnessLandscape:
         if isinstance(self.landscape, str):

@@ -1,11 +1,16 @@
 """``bench/pairs.py``: the summary of paired benchmark runs, from canned
-harness lines; no test starts the harness itself."""
+harness lines, and its clean-up with a stub harness; no test starts the
+harness itself."""
 
 import importlib.util
 import json
 import os
+import shutil
+import signal
+import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -57,3 +62,41 @@ def test_the_harness_result_is_its_last_line(tmp_path):
     result = pairs.run_harness(str(tmp_path), [sys.executable, "perfbench/run.py"], "run_diag", 7, 1.0)
     assert result["meta"] == 'meta {"seed": 1}'
     assert json.loads(result["last"])["metrics"]["wall_s"]["value"] == 7
+
+
+def test_sigterm_removes_the_unpacked_base(tmp_path):
+    # a throwaway repository whose harness is a stub that sleeps once it has started
+    repo, started = tmp_path / "repo", tmp_path / "started"
+    (repo / "bench").mkdir(parents=True)
+    (repo / "perfbench").mkdir()
+    shutil.copy(os.path.join(ROOT, "bench", "pairs.py"), repo / "bench")
+    (repo / "perfbench" / "run.py").write_text(textwrap.dedent(f"""
+        import os, time
+        with open({str(started)!r} + ".tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.rename({str(started)!r} + ".tmp", {str(started)!r})
+        time.sleep(60)
+    """))
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "perfbench/run.py"], "run_seconds": 1, "workloads": [{"name": "stub"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub harness"]):
+        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost", *args],
+                       cwd=repo, check=True, capture_output=True)
+    proc = subprocess.Popen([sys.executable, "bench/pairs.py", "--base", "HEAD", "--out", "out.json"],
+                            cwd=repo, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not started.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert started.exists(), proc.stderr.read() if proc.poll() is not None else "the stub never started"
+        assert len(list((repo / ".bench_build").iterdir())) == 1  # the base, unpacked while the stub runs
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert list((repo / ".bench_build").iterdir()) == [] and not (repo / "out.json").exists()
+    with pytest.raises(ProcessLookupError):  # the stub was killed and reaped with it
+        os.kill(int(started.read_text()), 0)

@@ -701,6 +701,23 @@ class TestForkedFormatter:
             os.waitpid(-1, os.WNOHANG)
         assert not (tmp_path / "out").exists()
 
+    def test_unallocatable_samples_exit_2(self, tmp_path, monkeypatch, capsys):
+        # 10**15 + 1 samples: their arrays cannot be allocated, so the run stops before its first step
+        config = {"t_end": 1e12, "step": 0.001, "observe_every": 1}
+        (code, out, err, data), made = self.same_as_in_process(tmp_path, monkeypatch, capsys, config)
+        assert (code, out, data) == (2, "", None) and len(made) == 1
+        assert re.fullmatch(r"config error: the run's 1000000000000001 samples need 40000000000000040 bytes, "
+                            r".*: raise observe_every\n", err), err
+        assert not (tmp_path / "two" / "out").exists()
+
+    def test_a_block_is_sent_as_its_bytes(self, monkeypatch):
+        # the block's own buffer is written, a few bytes at a time when the pipe takes no more
+        block = np.arange(60.0).reshape(12, 5)
+        written = []
+        monkeypatch.setattr(os, "write", lambda fd, data: written.append(bytes(data[:7])) or len(written[-1]))
+        cli._write_all(99, block)
+        assert b"".join(written) == block.tobytes() and len(written) == -(-block.nbytes // 7)
+
     def test_sweep_formats_in_process(self, tmp_path, monkeypatch):
         def no_formatter(run, fmt):
             raise AssertionError("sweep forked a formatter")

@@ -424,6 +424,19 @@ class TestDiagnosticBlocks:
         # the whole run at once would add about 6x more
         assert peak <= 4 * tr.states.nbytes
 
+    def test_peak_memory_at_n_3_is_near_the_samples(self):
+        # at n = 3 a per-sample array's header outweighs its 24 bytes of data:
+        # samples kept one array each peaked at 6.6x; rows written once into
+        # preallocated arrays, plus the two diagnostic columns, at about 1.7x
+        tracemalloc.start()
+        try:
+            tr = integrate(Identity(), RSP, [0.5, 0.3, 0.2], t_end=5.0, step=1e-3, ref=barycenter(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tr.termination.ok and len(tr) == 5_001
+        assert peak <= 2.5 * (tr.states.nbytes + tr.times.nbytes + tr.mean_fitness.nbytes)
+
 
 def reference_rk4(phi, f, x0, t_end, step):
     """Classical RK4 on the escort flow from the checked public calls
@@ -615,6 +628,66 @@ class TestSink:
     def test_samples_of_a_completed_run(self, steps, every):
         run = Run(Identity(), "rsp", X0_CYCLE, steps * 1e-2, 1e-2, observe_every=every)
         assert len(run.integrate()) == run.samples
+
+
+# Constant(1) on RSP until x_1 < 0.3, where the first RK4 sum overflows
+OVERFLOW_BELOW = FitnessLandscape.custom(
+    lambda x: np.array([1e308, -1e308, 0.0]) if x[0] < 0.3 else RSP(x), name="rsp, overflowing below x_1 = 0.3")
+
+
+class TestRecordedRows:
+    """Each sample is written once into arrays allocated for a completed run: a
+    run that stops early returns arrays of its own rows alone, and the sink's
+    blocks are the returned rows."""
+
+    RUNS = {
+        "boundary exit": (TestSink.RUNS["boundary exit"].integrate, "boundary_exit"),
+        "step failure": (lambda sink=None: integrate(Constant(1.0), OVERFLOW_BELOW, [0.5, 0.3, 0.2], 20.0,
+                                                     ref=BARYCENTER_3, sink=sink), "step_failure"),
+        "fixed point": (TestSink.RUNS["fixed point"].integrate, "completed"),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_rows_and_blocks(self, name):
+        integrate_fn, kind = self.RUNS[name]
+        blocks = []
+        tr = integrate_fn(sink=lambda *block: blocks.append(block))
+        assert tr.termination.kind == kind and len(blocks) >= 2
+        for array in (tr.times, tr.states, tr.mean_fitness, tr.lyapunov, tr.integral_of_motion):
+            assert len(array) == len(tr) and array.base is None  # not a view of a larger buffer
+        start = 0
+        for block in blocks:
+            rows = slice(start, start + len(block[0]))
+            for got, recorded in zip(block, (tr.times, tr.states, tr.mean_fitness)):
+                assert got.shape == recorded[rows].shape and got.tobytes() == recorded[rows].tobytes()
+            start = rows.stop
+        assert start == len(tr)
+        assert_same_bits(tr, integrate_fn())
+
+    def test_the_step_failure_stops_in_its_third_block(self):
+        tr = self.RUNS["step failure"][0]()
+        assert tr.termination == Termination("step_failure", time=1.21)
+        assert 2 * BLOCK_ROWS < len(tr) < 3 * BLOCK_ROWS
+
+
+class TestUnallocatableSamples:
+    """A horizon whose samples cannot be allocated is a ConfigError before the
+    first step, with the sample count and the bytes it needs."""
+
+    MESSAGE = r"the run's 1000000000000001 samples need 40000000000000040 bytes, .*: raise observe_every$"
+
+    def test_integrate(self):
+        with pytest.raises(ConfigError, match=self.MESSAGE):
+            integrate(Identity(), RSP, [0.5, 0.3, 0.2], t_end=1e12, step=1e-3)
+
+    def test_the_formal_solution(self):
+        with pytest.raises(ConfigError, match=self.MESSAGE):
+            integrate_formal_solution(Power(2.0), RSP, X0_CYCLE, t_end=1e12, step=1e-3)
+
+    def test_more_bytes_than_an_array_can_address(self):
+        # 2**53 steps of 200 coordinates: numpy refuses the size itself
+        with pytest.raises(ConfigError, match=r"the run's 9007199254740993 samples need .*: raise observe_every$"):
+            integrate(Identity(), ZERO, barycenter(200), t_end=2.0**53, step=1.0)
 
 
 class TestChild:
