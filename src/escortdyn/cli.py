@@ -90,7 +90,7 @@ class RunConfig:
 
         escort = _escort_spec(raw["escort"])
         landscape = _norm_landscape(raw["landscape"])
-        x0 = tuple(_number(v, "x0") for v in raw["x0"])
+        x0 = _numbers(raw["x0"], "x0")
         SimplexPoint(x0)  # validates
         t_end = _number(raw["t_end"], "t_end")
         step = _number(raw["step"], "step")
@@ -99,7 +99,7 @@ class RunConfig:
         _check_controls(t_end, step, observe_every)
         refs = raw.get("refs")
         if refs is not None:
-            refs = tuple(_number(v, "refs") for v in refs)
+            refs = _numbers(refs, "refs")
             SimplexPoint(refs)
             if len(refs) != len(x0):
                 raise ConfigError("refs must have the same length as x0")
@@ -137,6 +137,13 @@ def _number(value, name) -> float:
         return float(value)
     except OverflowError:  # an integer literal beyond float range
         raise ConfigError(f"{name} is too large for a float") from None
+
+
+def _numbers(value, name) -> tuple:
+    """A JSON list of numbers as a tuple of floats."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_number(v, name) for v in value)
 
 
 def _integer(value, name) -> int:
@@ -181,12 +188,14 @@ def _norm_landscape(raw):
     if "matrix" not in raw:
         raise ConfigError("landscape needs 'builtin' or 'matrix'")
     matrix = raw["matrix"]
+    if not isinstance(matrix, (list, tuple)):
+        raise ConfigError(f"matrix must be a list, got {matrix!r}")
     if matrix and not isinstance(matrix[0], (list, tuple)):
         n = math.isqrt(len(matrix))
         if n * n != len(matrix):
             raise ConfigError("flat matrix length must be a perfect square")
         matrix = [matrix[i * n : (i + 1) * n] for i in range(n)]
-    rows = [tuple(_number(v, "matrix entry") for v in row) for row in matrix]
+    rows = [_numbers(row, "matrix entry") for row in matrix]
     if any(len(r) != len(rows) for r in rows):
         raise ConfigError("matrix must be square")
     form = raw.get("form", "linear")

@@ -9,11 +9,13 @@ but not always forward-invariant (that holds iff phi(0) = 0), so the
 integrator reports boundary exits instead of clamping.
 """
 
+import contextlib
 import math
 import operator
 import os
 import pickle
 import signal
+import tempfile
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -465,8 +467,7 @@ class _Child:
             self.pid = None
 
 
-QUEUE_RECORD = 4  # bytes per run index in the queue pipe
-QUEUE_WRITE = 512  # bytes per write to it: at most POSIX's PIPE_BUF, so each write is atomic
+QUEUE_RECORD = 4  # bytes per run index in the queue file; each read of one moves the offset the children share
 
 
 def _queue_order(runs) -> list:
@@ -475,24 +476,9 @@ def _queue_order(runs) -> list:
     return sorted(dict.fromkeys(runs), key=lambda r: (-r.steps, not r.formal))
 
 
-def _feed(fd, indices):
-    """Write ``indices`` to the queue pipe ``fd`` and close it. Each write holds
-    whole records and is atomic, so every read of one record gets one index;
-    the feed waits while the pipe is full and stops early when no child is left
-    to read."""
-    data = b"".join(i.to_bytes(QUEUE_RECORD, "little") for i in indices)
-    try:
-        for start in range(0, len(data), QUEUE_WRITE):
-            os.write(fd, data[start:start + QUEUE_WRITE])
-    except OSError:  # every reader has exited
-        pass
-    finally:
-        os.close(fd)
-
-
 def _take(fn, order, fd) -> dict:
     """{index: fn(order[index])} for the indices read from the queue ``fd``
-    until it is empty and closed, leaving out the runs where ``fn`` raised."""
+    until its end, leaving out the runs where ``fn`` raised."""
     done = {}
     while len(record := os.read(fd, QUEUE_RECORD)) == QUEUE_RECORD:
         i = int.from_bytes(record, "little")
@@ -507,30 +493,26 @@ def run_all(fn, runs) -> tuple[list, int]:
     """``[fn(run) for run in runs]``, and the number of processes that took part.
 
     The distinct runs are queued in ``_queue_order``. k = min(usable CPUs,
-    runs - 1) forked children (``_Child``) take all but the first from one pipe
-    of run indices, which this process writes after the last fork before doing
-    the first run itself, and each pickles its results back; with one CPU or
-    without ``os.fork`` every run is done here, serially. Which runs this
-    process does is fixed by the runs alone. A run whose ``fn`` raised, or
-    whose child died or sent unreadable data, is done again here, in order, and
-    raises as it would serially. Equal runs give one result.
+    runs - 1) forked children (``_Child``) take all but the first from one
+    file of run indices, written before the first fork and read through the
+    offset they share, and pickle their results back; this process does the
+    first run. With one CPU, without ``os.fork`` or without a queue file every
+    run is done here, serially. A run whose ``fn`` raised, or whose child died
+    or sent unreadable data, is done again here, in order, and raises as it
+    would serially. Equal runs give one result.
     """
     order = _queue_order(runs)
     cpus = _fork_cpus()
     k = min(cpus, len(order) - 1) if cpus > 1 else 0
     done, children = {}, []
     try:
-        if k > 0:
-            r, w = os.pipe()
-            try:
+        if k > 0:  # without a queue file no child starts
+            with contextlib.suppress(OSError), tempfile.TemporaryFile(buffering=0) as queue:
+                queue.write(b"".join(i.to_bytes(QUEUE_RECORD, "little") for i in range(1, len(order))))
+                queue.seek(0)
                 for _ in range(k):
-                    try:
-                        children.append(_Child(lambda: _take(fn, order, r), close=(w,)))
-                    except OSError:  # its runs are done by the other processes
-                        pass
-            finally:
-                os.close(r)  # with no child left to read, the feed stops
-                _feed(w, range(1, len(order)))
+                    with contextlib.suppress(OSError):  # its runs are done by the other processes
+                        children.append(_Child(lambda: _take(fn, order, queue.fileno())))
         if children:
             try:
                 done[order[0]] = fn(order[0])

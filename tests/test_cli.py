@@ -110,6 +110,31 @@ OVERSIZED_INTEGERS = [
 ]
 
 
+def _with(**patch):
+    return lambda cfg: {**cfg, **patch}
+
+
+A3 = [[0.0, 1.0, -1.0], [-1.0, 0.0, 1.0], [1.0, -1.0, 0.0]]
+# each config error that exits 2 before the run, and the start of its message
+CONFIG_ERRORS = [
+    ("config must be a JSON object", lambda cfg: list(cfg)),
+    ("unknown config keys: ['bogus']", _with(bogus=1)),
+    ("config is missing 'x0'", lambda cfg: {k: v for k, v in cfg.items() if k != "x0"}),
+    ("refs must have the same length as x0", _with(refs=[0.5, 0.5])),
+    ("landscape incompatible with x0 of length 2", _with(x0=[0.5, 0.5], refs=None)),
+    ("escort must be an object with a 'family'", _with(escort={"q": 2.0})),
+    ("landscape must be an object", _with(landscape="rsp")),
+    ("builtin landscapes take no other keys", _with(landscape={"builtin": "rsp", "form": "linear"})),
+    ("landscape needs 'builtin' or 'matrix'", _with(landscape={"form": "linear"})),
+    ("flat matrix length must be a perfect square", _with(landscape={"matrix": [0.0, 1.0, 2.0]})),
+    ("unknown landscape form 'quadratic'", _with(landscape={"matrix": A3, "form": "quadratic"})),
+    ("landscape takes only 'matrix' and 'form'", _with(landscape={"matrix": A3, "scale": 2.0})),
+    ("x0 must be a list of numbers, got 0.5", _with(x0=0.5)),
+    ("refs must be a list of numbers, got 5", _with(refs=5)),
+    ("matrix must be a list, got 5", _with(landscape={"matrix": 5})),
+]
+
+
 def read_csv(path):
     lines = path.read_text().strip().splitlines()
     header = lines[0].split(",")
@@ -507,6 +532,31 @@ class TestRunCommand:
         assert proc.returncode == 0, proc.stderr
         summary = json.loads(proc.stdout)
         assert summary["drift_integral"] <= 1e-9
+
+    def test_escort_log_form_matrix_landscape(self, tmp_path):
+        # f(x) = A log_phi(x) with the run escort
+        from escortdyn import FitnessLandscape, Power, barycenter, integrate
+
+        path, _ = base_config(
+            tmp_path, escort={"family": "power", "q": 2.0}, landscape={"matrix": A3, "form": "escort_log"}
+        )
+        proc = run_cli("run", "--config", str(path), cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        phi = Power(2.0)
+        f = FitnessLandscape.matrix_escort_log(A3, phi)
+        traj = integrate(phi, f, [0.5, 0.3, 0.2], 1.0, 0.001, observe_every=10, ref=barycenter(3))
+        cli.write_trajectory(traj, str(tmp_path / "expected.csv"), "csv")
+        assert (tmp_path / "out" / "run.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    @pytest.mark.parametrize("message, edit", CONFIG_ERRORS, ids=[m for m, _ in CONFIG_ERRORS])
+    def test_config_error_is_one_line(self, tmp_path, monkeypatch, capsys, message, edit):
+        path, cfg = base_config(tmp_path)
+        path.write_text(json.dumps(edit(cfg)))
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {message}"), err
+        assert not (tmp_path / "out").exists()
 
     def test_boundary_exit_exit_4_with_partial_file(self, tmp_path):
         path, _ = base_config(

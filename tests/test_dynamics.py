@@ -420,8 +420,8 @@ class TestDiagnosticBlocks:
         finally:
             tracemalloc.stop()
         assert tr.termination.ok and len(tr) == 20_001
-        # the per-sample list and its stacked copy take about 3x; diagnostics over
-        # the whole run at once would add about 6x more
+        # each row is written once into preallocated arrays, so the peak is about
+        # 1.2x; diagnostics over the whole run at once would add about 6x more
         assert peak <= 4 * tr.states.nbytes
 
     def test_peak_memory_at_n_3_is_near_the_samples(self):

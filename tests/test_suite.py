@@ -5,9 +5,12 @@ integrates its plan in well under a second; ``tests/test_acceptance.py``
 runs the full plan.
 """
 
+import errno
+import io
 import math
 import os
 import pickle
+import tempfile
 import threading
 import time
 
@@ -178,7 +181,7 @@ def test_this_process_always_integrates_the_same_run(monkeypatch):
 
 
 def test_a_queue_longer_than_a_pipe_holds(monkeypatch):
-    # 20,000 indices of 4 bytes are more than a 64 KiB pipe holds
+    # 20,000 indices of 4 bytes are more than a 64 KiB pipe holds; the queue file holds them all before the first fork
     runs = [Run(Identity(), "rsp", (i,), 1.0) for i in range(20_000)]
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
     results, processes = dynamics.run_all(lambda run: run.x0[0], runs)
@@ -187,7 +190,7 @@ def test_a_queue_longer_than_a_pipe_holds(monkeypatch):
 
 
 def test_the_queue_is_fed_without_a_thread(monkeypatch):
-    # a queue longer than a pipe holds, so a feeding thread would still be writing during the caller's run
+    # a queue longer than a pipe holds is written to its file before the first fork, by no thread
     parent, counts = os.getpid(), [threading.active_count()]
 
     def note(run):
@@ -205,7 +208,7 @@ def test_the_queue_is_fed_without_a_thread(monkeypatch):
 
 
 def test_a_feed_that_no_child_reads_stops(monkeypatch):
-    # every child exits at its first run: the caller's feed stops on EPIPE and the caller does every run
+    # every child exits at its first run, leaving the queue file unread: the caller does every run, waiting on nothing
     parent = os.getpid()
 
     def first_in_parent(run):
@@ -220,6 +223,49 @@ def test_a_feed_that_no_child_reads_stops(monkeypatch):
     assert results == list(range(20_000)) and processes == 3
     assert time.perf_counter() - t0 < 30
     assert_no_child()
+
+
+def test_each_record_goes_to_one_child(monkeypatch):
+    # the children take records through the offset they share: none is read by two, none is skipped
+    parent, here, taken = os.getpid(), [], []
+    result = dynamics._Child.result
+
+    def note_keys(child):
+        out = result(child)
+        taken.append(set(out))
+        return out
+
+    def note(run):
+        if os.getpid() == parent:
+            here.append(run.x0[0])
+        return run.x0[0]
+
+    runs = [Run(Identity(), "rsp", (i,), 1.0) for i in range(20_000)]
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(dynamics._Child, "result", note_keys)
+    results, processes = dynamics.run_all(note, runs)
+    assert results == list(range(20_000)) and processes == 3
+    assert len(taken) == 2 and not taken[0] & taken[1]
+    assert taken[0] | taken[1] == set(range(1, 20_000))
+    assert here == [0]
+    assert_no_child()
+
+
+class FullFile(io.BytesIO):
+    def write(self, data):
+        raise OSError(errno.ENOSPC, "no space left on device")
+
+
+def no_file(*args, **kwargs):
+    raise OSError(errno.EMFILE, "too many open files")
+
+
+@pytest.mark.parametrize("make", [no_file, lambda *args, **kwargs: FullFile()], ids=["create", "write"])
+def test_without_a_queue_file_every_run_is_done_here(monkeypatch, serial, make):
+    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(tempfile, "TemporaryFile", make)
+    assert suite.integrate_runs(RUNS).processes == 1
+    assert_redone_here(serial)
 
 
 def test_unreadable_child_data_is_redone_here(monkeypatch, serial):
