@@ -2,9 +2,13 @@
 
     python3 bench/pairs.py --base HEAD --out BENCH.json
 
-The base commit is unpacked with ``git archive`` into a temporary directory
-under ``.bench_build/``, which is removed at the end, on an error and on
-SIGTERM (turned into ``SystemExit``).
+The base commit and the working tree (as ``git add -A`` would commit it,
+untracked files included) are unpacked with ``git archive`` into a temporary
+directory under ``.bench_build/``, which is removed at the end, on an error
+and on SIGTERM (turned into ``SystemExit``). The harness runs there with
+``PYTHONDONTWRITEBYTECODE=1`` and without ``PYTHONPYCACHEPREFIX``, so neither
+side reads bytecode of its package: each process compiles it, as the other
+side's does, while the standard library and numpy keep their bytecode.
 BENCHMARK.json fixes the command, the run length T and, unless ``--workloads``
 names others (``sweep_q`` is not gated), the workloads. Each of ``PAIRS``
 pairs per workload runs ``<command> --workload W --seed S --seconds T --trace
@@ -12,10 +16,11 @@ pairs per workload runs ``<command> --workload W --seed S --seconds T --trace
 even pairs and the working tree in odd ones. The output holds each run's last
 line and ``meta`` line verbatim; per end-to-end metric of BENCHMARK.json, each
 side's median and quartiles (inclusive method) and the pairs the working tree
-won (ties count for neither side); the machine, the Python and numpy versions,
-the base commit, HEAD, and the measured tree's top-level entries (``git
-ls-tree`` of the working tree as ``git add -A`` would commit it, untracked
-files included), which a later commit's ``git ls-tree`` can be checked against.
+won (ties count for neither side); per side, the runs whose ``correct`` is
+false and the sums of ``attempted`` and ``failed``; the machine, the Python
+and numpy versions, the base commit, HEAD, and the measured tree's top-level
+entries (``git ls-tree``), which a later commit's ``git ls-tree`` can be
+checked against.
 """
 
 import argparse
@@ -52,10 +57,25 @@ def summarize(pairs, better):
     return out
 
 
+def failures(pairs):
+    """Per side of ``pairs``: the runs whose ``correct`` is false, and the sums
+    of ``attempted`` and ``failed``."""
+    results = [{side: json.loads(p[side]["last"]) for side in SIDES} for p in pairs]
+    return {side: {"incorrect_runs": sum(not r[side]["correct"] for r in results),
+                   "attempted": sum(r[side]["attempted"] for r in results),
+                   "failed": sum(r[side]["failed"] for r in results)} for side in SIDES}
+
+
+def harness_env():
+    """The caller's environment, with bytecode neither written nor read from a cache prefix."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPYCACHEPREFIX"}
+    return dict(env, PYTHONDONTWRITEBYTECODE="1")
+
+
 def run_harness(tree, command, workload, seed, seconds):
     """The harness's last line and ``meta`` line in ``tree``: {"last", "meta"}."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=True)
+    proc = subprocess.run(argv, cwd=tree, env=harness_env(), capture_output=True, text=True, check=True)
     lines = proc.stdout.strip().splitlines()
     return {"last": lines[-1], "meta": next((x for x in lines if x.startswith("meta ")), None)}
 
@@ -102,10 +122,12 @@ def main(argv=None):
            "change_dirty": tree != git("rev-parse", "HEAD^{tree}"), "change_tree": entries,
            "seconds": bench["run_seconds"], "workloads": {}}
     os.makedirs(os.path.join(ROOT, ".bench_build"), exist_ok=True)
-    with tempfile.TemporaryDirectory(dir=os.path.join(ROOT, ".bench_build")) as base:
-        archive = subprocess.run(["git", "archive", args.base], cwd=ROOT, capture_output=True, check=True).stdout
-        subprocess.run(["tar", "-x", "-C", base], input=archive, check=True)
-        trees = {"base": base, "change": ROOT}
+    with tempfile.TemporaryDirectory(dir=os.path.join(ROOT, ".bench_build")) as build:
+        trees = {side: os.path.join(build, side) for side in SIDES}
+        for side, treeish in (("base", args.base), ("change", tree)):
+            archive = subprocess.run(["git", "archive", treeish], cwd=ROOT, capture_output=True, check=True).stdout
+            os.mkdir(trees[side])
+            subprocess.run(["tar", "-x", "-C", trees[side]], input=archive, check=True)
         for workload in workloads:
             pairs = []
             for i in range(PAIRS):
@@ -114,7 +136,7 @@ def main(argv=None):
                                                 bench["run_seconds"]) for side in first})
                 print(workload, i, {s: pairs[-1][s]["last"] for s in SIDES}, flush=True)
             doc["workloads"][workload] = {"seeds": [args.seed + i for i in range(PAIRS)], "runs": pairs,
-                                          "metrics": summarize(pairs, better)}
+                                          "metrics": summarize(pairs, better), "failures": failures(pairs)}
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")

@@ -37,11 +37,11 @@ import numpy as np
 
 from .analysis import _rel_drift, monotone_nonincreasing
 from . import dynamics
-from .dynamics import BLOCK_ROWS, Run, Trajectory, _check_controls, _diagnostics, run_all
+from .dynamics import BLOCK_ROWS, Run, Trajectory, _check_controls, run_all
 from .errors import ConfigError, DomainError, EscortError
 from .escorts import Constant, Escort, Exponential, Identity, Power, Scaled
 from .landscapes import BUILTIN_LANDSCAPES, FitnessLandscape
-from .simplex import SimplexPoint, as_simplex
+from .simplex import SimplexPoint
 
 EXIT_OK = 0
 EXIT_SUITE_FAIL = 1
@@ -260,15 +260,14 @@ class _Formatter:
     """A forked child that formats the rows of a run's trajectory while the run
     marches, so that formatting overlaps the integration.
 
-    ``send`` is the run's sink (see ``dynamics._march``): it writes each block of
-    samples to the child as raw float64 rows ``t, x_1, ..., x_n, mean``. The
-    child (a ``dynamics._Child``) adds the block's diagnostic columns with
-    ``dynamics._diagnostics``, which gives the bits of the whole run's call on a
-    block that starts at a multiple of BLOCK_ROWS, formats it with
-    ``_format_rows`` and appends the text to an unlinked temporary file opened
-    before the fork, so neither process holds more than a block; it sends back
-    the number of rows it wrote. ``write_rows`` ends the input and copies the
-    file when that number is the run's; ``close`` reaps the child.
+    ``send`` is the run's sink (see ``dynamics.integrate``): it writes each block
+    of samples to the child as raw float64 rows ``t, x_1, ..., x_n, mean``, and
+    ``lyapunov, integral`` with a ref. The child (a ``dynamics._Child``) formats
+    each block with ``_format_rows`` and appends the text to an unlinked
+    temporary file opened before the fork, so neither process holds more than a
+    block; it sends back the number of rows it wrote. ``write_rows`` ends the
+    input and copies the file when that number is the run's; ``close`` reaps the
+    child.
     """
 
     def __init__(self, run: Run, fmt: str):
@@ -277,7 +276,8 @@ class _Formatter:
         fds = []
         try:
             fds += os.pipe()
-            self.child = dynamics._Child(lambda: _format_samples(fds[0], self.text, run, fmt), close=fds[1:])
+            width = len(run.x0) + (2 if run.ref is None else 4)
+            self.child = dynamics._Child(lambda: _format_samples(fds[0], self.text, width, fmt), close=fds[1:])
         except OSError:
             for fd in fds:
                 os.close(fd)
@@ -286,10 +286,11 @@ class _Formatter:
         os.close(fds[0])
         self.out = open(fds[1], "wb", buffering=0)
 
-    def send(self, times, states, means):
-        """Write one block of samples to the child, unless it has exited."""
+    def send(self, *columns):
+        """Write one block of samples, the columns that are not None, to the
+        child, unless it has exited."""
         try:
-            _write_all(self.out.fileno(), np.column_stack((times, states, means)))
+            _write_all(self.out.fileno(), np.column_stack([c for c in columns if c is not None]))
         except OSError:  # no reader: the child has exited, so the rows are formatted in process
             pass
 
@@ -311,19 +312,14 @@ class _Formatter:
         self.text.close()
 
 
-def _format_samples(fd, out, run: Run, fmt: str) -> int:
-    """Write to the text file ``out`` the rows of the samples read from ``fd``
-    until it ends, with ``run``'s diagnostic columns, a block of BLOCK_ROWS at
-    a time; flush it and return the number of rows."""
-    n = len(run.x0)
-    ref = None if run.ref is None else as_simplex(np.array(run.ref)).coords  # as ``integrate`` takes it
+def _format_samples(fd, out, width: int, fmt: str) -> int:
+    """Write to the text file ``out`` the rows of ``width`` floats read from
+    ``fd`` until it ends, a block of BLOCK_ROWS at a time; flush it and return
+    the number of rows."""
     rows = 0
-    with os.fdopen(fd, "rb") as src, np.errstate(all="ignore"):  # the parent reports what warns
-        while data := src.read(BLOCK_ROWS * (n + 2) * 8):
-            block = np.frombuffer(data, dtype=float).reshape(-1, n + 2)
-            if ref is not None:
-                states = np.ascontiguousarray(block[:, 1 : n + 1])  # the layout of ``integrate``'s states
-                block = np.column_stack((block, *_diagnostics(run.phi, ref, states)))
+    with os.fdopen(fd, "rb") as src:
+        while data := src.read(BLOCK_ROWS * width * 8):
+            block = np.frombuffer(data, dtype=float).reshape(-1, width)
             out.write(_format_rows(block, fmt == "csv", rows))
             rows += len(block)
     out.flush()

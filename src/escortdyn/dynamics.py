@@ -176,18 +176,6 @@ def _check_controls(t_end, step, observe_every):
     return n_steps, observe_every
 
 
-def _diagnostics(phi, ref, states):
-    """D_phi(ref || x) and sum_i ref_i log_phi(x_i) at every sample ``x``, BLOCK_ROWS
-    samples at a time."""
-    m = len(states)
-    lyap, integral = np.empty(m), np.empty(m)
-    for start in range(0, m, BLOCK_ROWS):
-        block = slice(start, start + BLOCK_ROWS)
-        lyap[block] = divergence_profile(phi, ref, states[block])
-        integral[block] = _safe_integral(phi, ref, states[block])
-    return lyap, integral
-
-
 def _safe_integral(phi, ref, states):
     """sum_i ref_i log_phi(x_i) per sample, with -inf markers at the boundary.
 
@@ -322,8 +310,10 @@ def integrate(
     DomainError is not accepted: the run ends with ``boundary_exit`` at the
     last accepted state, which is recorded. The termination's ``reason``
     says why; as every non-finite value ends the run, the steps do not warn.
-    ``sink`` is handed the samples block by block as they are recorded (see
-    ``_march``); it changes no bit of the result.
+    With ``ref``, D_phi(ref || x) and sum_i ref_i log_phi(x_i) are computed
+    for each block of samples as ``_march`` fills it. ``sink(times, states,
+    means, lyapunov, integral)`` is handed each block with those columns (None
+    without ``ref``); it changes no bit of the result.
     """
     n_steps, observe_every = _check_controls(t_end, step, observe_every)
     x = as_simplex(x0).coords.copy()
@@ -349,10 +339,19 @@ def integrate(
         if abs(total - 1.0) > DRIFT_TOL:
             x_new /= total
 
+    diagnostics = []  # each block's (D_phi(ref || x), sum_i ref_i log_phi(x_i)) per sample x
+
+    def consume(times, states, means):
+        block = (None, None) if ref is None else (divergence_profile(phi, ref, states),
+                                                  _safe_integral(phi, ref, states))
+        diagnostics.append(block)
+        if sink:
+            sink(times, states, means, *block)
+
     field = _make_field(phi, f)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value ends the run
-        times, states, means, termination = _march(field, x, float(step), n_steps, observe_every, accept, sink)
-    lyap, integral = (None, None) if ref is None else _diagnostics(phi, ref, states)
+        times, states, means, termination = _march(field, x, float(step), n_steps, observe_every, accept, consume)
+    lyap, integral = (None, None) if ref is None else map(np.concatenate, zip(*diagnostics))
     return Trajectory(times, states, means, lyap, integral, termination)
 
 

@@ -54,7 +54,10 @@ class FitnessLandscape:
         return cls("custom", fn=fn, potential=potential, name=name)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.check_finite(self.evaluate(x))
+        """f(x), or DomainError, without a warning, when an entry is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            fx = self.evaluate(x)
+        return self.check_finite(fx)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         """f(x) without the finiteness check; DimensionError when its shape is not x's."""

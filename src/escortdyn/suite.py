@@ -26,7 +26,6 @@ import numpy as np
 from .analysis import _rel_drift, fisher_rate
 from .dynamics import (
     Run,
-    Trajectory,
     _make_field,
     _rk4_step,
     discrete_step,
@@ -71,7 +70,8 @@ class Criterion:
     runs: tuple = ()  # the Runs whose trajectories fn takes, in order
 
     def run(self) -> CriterionResult:
-        measured, passed, note = self.fn(self.tolerance, *map(_traj, self.runs))
+        integrate_runs(self.runs)  # none, when a plan cached them
+        measured, passed, note = self.fn(self.tolerance, *(_traj.store[run] for run in self.runs))
         return CriterionResult(self.name, self.description, float(measured), self.tolerance,
                                bool(passed), note)
 
@@ -83,8 +83,8 @@ _CacheInfo = namedtuple("CacheInfo", "misses")
 
 
 class _TrajectoryCache:
-    """The suite's trajectories by run. ``misses`` counts the runs
-    integrated, whether here or in a child process of a plan."""
+    """The suite's trajectories by run, which ``integrate_runs`` adds. ``misses``
+    counts the runs integrated, whether here or in a child process of a plan."""
 
     def __init__(self):
         self.cache_clear()
@@ -99,12 +99,6 @@ class _TrajectoryCache:
     def add(self, runs, trajectories):
         self.store.update(zip(runs, trajectories))
         self.misses += len(runs)
-
-    def __call__(self, run) -> Trajectory:
-        """The trajectory of ``run``, integrated here if no plan left it."""
-        if run not in self.store:
-            self.add([run], [run.integrate()])
-        return self.store[run]
 
 
 _traj = _TrajectoryCache()

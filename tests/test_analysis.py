@@ -88,6 +88,14 @@ class TestEssCheckSampled:
         # margins within the ball are at most radius^2
         assert report.min_margin <= 0.05**2 + 1e-12
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"num_samples": 0}, "num_samples must be >= 1"),
+        ({"num_samples": 1, "radius": 1e-9}, "could not draw 1 samples within radius 1e-09"),
+    ])
+    def test_samples_that_cannot_be_drawn(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            ess_check_sampled(NEG, barycenter(3), seed=5, **kwargs)
+
     def test_candidate_must_be_interior(self):
         from escortdyn import DomainError
 

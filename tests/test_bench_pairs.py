@@ -20,10 +20,10 @@ pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(pairs)
 
 
-def line(wall, rate):
+def line(wall, rate, attempted=4, failed=0):
     """A last line as ``perfbench/run.py`` prints it."""
     metrics = {"wall_s": {"value": wall, "unit": "s"}, "rk4_steps_per_s": {"value": rate, "unit": "1/s"}}
-    return json.dumps({"correct": True, "attempted": 4, "failed": 0, "metrics": metrics})
+    return json.dumps({"correct": failed == 0, "attempted": attempted, "failed": failed, "metrics": metrics})
 
 
 BETTER = {"wall_s": "lower", "rk4_steps_per_s": "higher"}
@@ -48,6 +48,30 @@ def test_one_pair_is_its_own_quartiles():
     runs = [{"base": {"last": line(0.2, 5.0)}, "change": {"last": line(0.3, 4.0)}}]
     wall = pairs.summarize(runs, BETTER)["wall_s"]
     assert wall["change"] == {"median": 0.3, "q1": 0.3, "q3": 0.3} and wall["pairs_won"] == 0
+
+
+def test_failed_operations_per_side():
+    runs = [{"base": {"last": line(0.2, 5.0, 4, 0)}, "change": {"last": line(0.2, 5.0, 5, 1)}},
+            {"base": {"last": line(0.2, 5.0, 6, 0)}, "change": {"last": line(0.2, 5.0, 3, 0)}},
+            {"base": {"last": line(0.2, 5.0, 2, 2)}, "change": {"last": line(0.2, 5.0, 7, 3)}}]
+    assert pairs.failures(runs) == {"base": {"incorrect_runs": 1, "attempted": 12, "failed": 2},
+                                    "change": {"incorrect_runs": 2, "attempted": 15, "failed": 4}}
+
+
+def test_the_harness_reads_no_bytecode_cache(tmp_path, monkeypatch):
+    # a stub harness that reports the bytecode settings it was started with
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(textwrap.dedent("""
+        import json, os, sys
+        print(json.dumps({"write": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                          "prefix": os.environ.get("PYTHONPYCACHEPREFIX"),
+                          "flags": [sys.flags.dont_write_bytecode, sys.pycache_prefix]}))
+    """))
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "cache"))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    result = pairs.run_harness(str(tmp_path), [sys.executable, "perfbench/run.py"], "run_diag", 1, 1.0)
+    assert json.loads(result["last"]) == {"write": "1", "prefix": None, "flags": [1, None]}
+    assert not (tmp_path / "cache").exists() and not (tmp_path / "perfbench" / "__pycache__").exists()
 
 
 def test_the_harness_result_is_its_last_line(tmp_path):
@@ -100,3 +124,35 @@ def test_sigterm_removes_the_unpacked_base(tmp_path):
     assert list((repo / ".bench_build").iterdir()) == [] and not (repo / "out.json").exists()
     with pytest.raises(ProcessLookupError):  # the stub was killed and reaped with it
         os.kill(int(started.read_text()), 0)
+
+
+def test_both_sides_run_in_unpacked_trees(tmp_path):
+    # a throwaway repository whose stub harness logs its working directory and what it sees there
+    repo, log = tmp_path / "repo", tmp_path / "cwds"
+    (repo / "bench").mkdir(parents=True)
+    (repo / "perfbench").mkdir()
+    shutil.copy(os.path.join(ROOT, "bench", "pairs.py"), repo / "bench")
+    (repo / "perfbench" / "run.py").write_text(textwrap.dedent(f"""
+        import os
+        with open({str(log)!r}, "a") as fh:
+            fh.write(os.getcwd() + " " + str(os.path.exists("untracked")) + "\\n")
+        print({line(0.25, 8.0, 3, 1)!r})
+    """))
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "command": [sys.executable, "perfbench/run.py"], "run_seconds": 1, "workloads": [{"name": "stub"}],
+        "end_to_end": [{"name": "wall_s", "better": "lower"}]}))
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub harness"]):
+        subprocess.run(["git", "-c", "user.name=bench", "-c", "user.email=bench@localhost", *args],
+                       cwd=repo, check=True, capture_output=True)
+    (repo / "untracked").write_text("in the working tree only\n")
+    subprocess.run([sys.executable, "bench/pairs.py", "--base", "HEAD", "--out", "out.json"],
+                   cwd=repo, check=True, capture_output=True)
+    seen = [entry.rsplit(" ", 1) for entry in log.read_text().splitlines()]
+    trees = {cwd: untracked for cwd, untracked in seen}
+    assert len(seen) == 2 * pairs.PAIRS and len(trees) == 2
+    assert all(os.path.dirname(os.path.dirname(cwd)) == str(repo / ".bench_build") for cwd in trees)
+    assert sorted(trees.values()) == ["False", "True"]  # the base commit, and the working tree
+    assert list((repo / ".bench_build").iterdir()) == []
+    doc = json.loads((repo / "out.json").read_text())
+    side = {"incorrect_runs": pairs.PAIRS, "attempted": 3 * pairs.PAIRS, "failed": pairs.PAIRS}
+    assert doc["workloads"]["stub"]["failures"] == {"base": side, "change": side}

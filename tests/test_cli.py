@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from escortdyn import Constant, cli, dynamics
+from escortdyn import Constant, DomainError, Identity, cli, dynamics
 from escortdyn.cli import RunConfig, main
 from escortdyn.dynamics import BLOCK_ROWS
 from escortdyn import suite
@@ -678,6 +678,17 @@ class TestForkedFormatter:
         assert data.count(b"\n") == 10_001 + 1
         assert made[0].used
 
+    @pytest.mark.parametrize("fails", ["pipe", "fork"])
+    def test_no_second_process_formats_in_process(self, tmp_path, monkeypatch, capsys, fails):
+        def exhausted(*args, **kwargs):
+            raise OSError("no more descriptors or processes")
+
+        monkeypatch.setattr(*((os, "pipe") if fails == "pipe" else (dynamics, "_Child")), exhausted)
+        descriptors = set(os.listdir("/proc/self/fd"))
+        (code, _, err, _), made = self.same_as_in_process(tmp_path, monkeypatch, capsys, {"observe_every": 1})
+        assert (code, err, made) == (0, "", [])
+        assert set(os.listdir("/proc/self/fd")) == descriptors
+
     def test_a_child_that_dies_is_made_up_for(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_format_samples", lambda *args: os._exit(9))
         (code, _, err, _), made = self.same_as_in_process(tmp_path, monkeypatch, capsys, {"observe_every": 1})
@@ -706,7 +717,8 @@ class TestForkedFormatter:
         tr = run.integrate()
         formatter = cli._Formatter(run, "csv")
         try:
-            formatter.send(tr.times[:BLOCK_ROWS], tr.states[:BLOCK_ROWS], tr.mean_fitness[:BLOCK_ROWS])
+            columns = (tr.times, tr.states, tr.mean_fitness, tr.lyapunov, tr.integral_of_motion)
+            formatter.send(*(c[:BLOCK_ROWS] for c in columns))
             deadline = time.monotonic() + 60
             while os.fstat(formatter.text.fileno()).st_size == 0:
                 assert time.monotonic() < deadline
@@ -739,7 +751,7 @@ class TestForkedFormatter:
 
     def test_an_interrupted_run_reaps_its_child(self, tmp_path, monkeypatch):
         class Interrupted(cli._Formatter):
-            def send(self, times, states, means):
+            def send(self, *columns):
                 raise KeyboardInterrupt
 
         monkeypatch.setattr(dynamics, "_usable_cpus", lambda: 2)
@@ -832,6 +844,18 @@ class TestSweepCommand:
         half = (len(slow) - 1) // 2 + 1
         dev = np.max(np.abs(fast[:half, 1:4] - slow[::2][:half, 1:4]))
         assert dev <= 1e-6
+
+    def test_identity_reference_undefined_at_the_start(self, tmp_path):
+        # on a face, log_phi(0) = -inf makes A log_phi(x) undefined for the reference and every value
+        rsp = [[0, -1, 1], [1, 0, -1], [-1, 1, 0]]
+        with pytest.raises(DomainError):
+            dynamics.Run(Identity(), ("escort_log", rsp), (0.5, 0.5, 0.0), 0.1).integrate()
+        path, _ = base_config(tmp_path, escort={"family": "power", "q": 2.0},
+                              landscape={"matrix": rsp, "form": "escort_log"}, x0=[0.5, 0.5, 0.0], t_end=0.1)
+        proc = run_cli("sweep", "--config", str(path), "--param", "q", "--values", "0.5,2,3", cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (3, "")
+        runs = json.loads(proc.stdout)["runs"]
+        assert [(r["status"], r["sup_deviation_from_identity"]) for r in runs] == [("domain_error", None)] * 3
 
     def test_failing_run_makes_aggregate_nonzero(self, tmp_path):
         # f(x) = (-9, 9, 0) on the simplex; q = 0 gives pure drift into the

@@ -468,9 +468,8 @@ def reference_rk4(phi, f, x0, t_end, step):
 
 
 def march_every_step(rhs, y, h, n_steps, observe_every, accept=None, sink=None):
-    """``dynamics._march`` without its fixed-point stop: it takes every step
-    (the runs it stands in for hand it no ``sink``)."""
-    assert sink is None
+    """``dynamics._march`` without its fixed-point stop: it takes every step,
+    and hands ``sink`` its samples in blocks of BLOCK_ROWS at the end."""
     stops = () if accept is None else DomainError
     times, states, means = [], [], []
 
@@ -498,7 +497,12 @@ def march_every_step(rhs, y, h, n_steps, observe_every, accept=None, sink=None):
             record(t, *sample)
     if times[-1] < t:
         record(t, *sample)
-    return times, np.array(states), means, termination or Termination.completed()
+    times, states, means = np.array(times), np.array(states), np.array(means)
+    for start in range(0, len(times), BLOCK_ROWS):
+        block = slice(start, start + BLOCK_ROWS)
+        if sink:
+            sink(times[block], states[block], means[block])
+    return times, states, means, termination or Termination.completed()
 
 
 def every_step(integrate_fn):
@@ -584,6 +588,11 @@ class TestFixedPointStop:
         assert_same_bits(tr, every_step(formal))
 
 
+def test_times_must_increase():
+    with pytest.raises(ConfigError, match="strictly increasing"):
+        dynamics.Trajectory([0.0, 0.0], np.full((2, 3), 1 / 3), [0.0, 0.0], None, None, Termination.completed())
+
+
 class TestSink:
     """``integrate``'s sink is handed every sample once, in blocks of BLOCK_ROWS
     counted from sample 0 and a last partial block, and changes no bit."""
@@ -600,12 +609,13 @@ class TestSink:
     @pytest.mark.parametrize("name", RUNS)
     def test_blocks_are_the_samples(self, name):
         run, blocks = self.RUNS[name], []
-        tr = run.integrate(sink=lambda times, states, means: blocks.append((times, np.array(states), means)))
+        tr = run.integrate(sink=lambda times, states, means, lyapunov, integral:
+                           blocks.append((times, np.array(states), means, lyapunov, integral)))
         assert [len(b[0]) for b in blocks[:-1]] == [BLOCK_ROWS] * (len(blocks) - 1)
         assert 0 < len(blocks[-1][0]) <= BLOCK_ROWS
-        assert np.concatenate([b[0] for b in blocks]).tobytes() == tr.times.tobytes()
-        assert np.concatenate([b[1] for b in blocks]).tobytes() == tr.states.tobytes()
-        assert np.concatenate([b[2] for b in blocks]).tobytes() == tr.mean_fitness.tobytes()
+        columns = (tr.times, tr.states, tr.mean_fitness, tr.lyapunov, tr.integral_of_motion)
+        for i, column in enumerate(columns):
+            assert np.concatenate([b[i] for b in blocks]).tobytes() == column.tobytes()
         assert_same_bits(tr, run.integrate())
 
     def test_the_stops_are_those_of_the_runs(self):
@@ -614,7 +624,7 @@ class TestSink:
         assert tr.termination.kind == "boundary_exit" and BLOCK_ROWS < len(tr) < 2 * BLOCK_ROWS
 
     def test_an_error_of_the_sink_is_not_a_boundary_exit(self):
-        def sink(times, states, means):
+        def sink(times, states, means, lyapunov, integral):
             raise DomainError("raised by the sink")
 
         with pytest.raises(DomainError, match="raised by the sink"):
@@ -1110,6 +1120,11 @@ class TestLandscapes:
     def test_matrix_of_another_size_raises_dimension_error(self, form, entry, n):
         with pytest.raises(DimensionError):
             self.ENTRY_POINTS[entry](Power(2.0), self.MISSIZED[form], barycenter(n).coords)
+
+    def test_custom_landscape_of_another_length_raises(self):
+        short = FitnessLandscape.custom(lambda x: np.zeros(2), name="two entries")
+        with pytest.raises(DimensionError, match=r"landscape returned shape \(2,\) for state shape \(3,\)"):
+            short(barycenter(3).coords)
 
     def test_non_square_matrix_rejected(self):
         with pytest.raises(Exception):

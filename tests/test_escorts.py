@@ -126,6 +126,10 @@ class TestEscortVariance:
         with pytest.raises(DimensionError):
             escort_variance(Identity(), X, [1.0, 2.0])
 
+    def test_rejects_non_finite_f(self):
+        with pytest.raises(DomainError, match="f must be finite"):
+            escort_variance(Identity(), X, [math.inf, 0.0, 0.0])
+
 
 class TestEscortLog:
     @pytest.mark.parametrize("phi", SCALAR_FAMILIES + [custom_quadratic()])
@@ -214,6 +218,8 @@ class TestEscortExp:
             (Exponential(), 5.0),
             # log_phi = 1 - 1/u < 1: bracketing overflows v * v, a DomainError of phi
             (Custom(lambda v: v * v, name="v^2"), 1.5),
+            # log_phi = u - 1 > -1 for phi = 1: the bracket halves below 1e-300
+            (Custom(lambda v: 1.0, name="1"), -2.0),
         ],
     )
     def test_range_error_outside_attainable_values(self, phi, w):
@@ -275,6 +281,7 @@ class TestGaussKronrod:
         (lambda v: 1.0 / v, 0.0, 1.0, math.inf),
         (lambda v: 1.0 / v, 1.0, 0.0, -math.inf),
         (lambda v: -1.0 / (v + v * v), 0.0, 0.5, -math.inf),
+        (lambda v: 1.0 / v, 0.0, 0.0, 0.0),  # an empty interval, also at a pole
     ])
     def test_log_form_limit_at_zero(self, f, a, b, expected):
         assert gauss_kronrod_log(f, a, b) == pytest.approx(expected, abs=1e-10)
@@ -549,6 +556,10 @@ class TestOverflow:
         with pytest.raises(DomainError) as err:
             phi.reciprocal(np.array([0.5, 1e-300]))
         assert err.value.index == 1
+
+    def test_reciprocal_of_a_negative_argument_raises(self):
+        with pytest.raises(DomainError):
+            Custom(lambda v: v + v * v, name="v + v^2").reciprocal(np.array([-1.0]))
 
     def test_divergence_to_a_face_at_a_double_pole(self):
         phi = Custom(lambda v: v * v, name="v^2")

@@ -211,6 +211,19 @@ class TestEscortDivergence:
             escort_divergence(Identity(), [0.5, 0.5], [0.5, 0.25, 0.25])
 
 
+class TestShapes:
+    BARYCENTER = [1 / 3, 1 / 3, 1 / 3]
+
+    @pytest.mark.parametrize("call, error", [
+        (lambda x: escort_divergence(Identity(), np.full((2, 3), 1 / 3), x), DomainError),  # a 2-d x
+        (lambda x: divergence_profile(Identity(), x, np.full((2, 2), 0.5)), DimensionError),
+        (lambda x: geodesic_distance_identity([0.5, 0.5], x), DimensionError),
+    ], ids=["escort_divergence", "divergence_profile", "geodesic_distance_identity"])
+    def test_an_input_of_another_shape_raises(self, call, error):
+        with pytest.raises(error):
+            call(self.BARYCENTER)
+
+
 class TestDivergenceProfile:
     @pytest.mark.parametrize("row", [[1.5, -0.5], [math.nan, 1.0], [math.inf, 0.0]])
     def test_rejects_what_escort_divergence_rejects(self, row):

@@ -54,9 +54,9 @@ def assert_same(a, b):
 
 
 def assert_serial(serial):
-    """Every run, cached or integrated again here, is its serial trajectory."""
+    """Every run is cached, with its serial trajectory."""
     for run in RUNS:
-        assert_same(suite._traj(run), serial[run])
+        assert_same(suite._traj.store[run], serial[run])
     assert suite._traj.cache_info().misses == len(RUNS)
 
 
@@ -319,6 +319,16 @@ def test_fisher_criterion_fails_with_a_note_when_its_potential_is_wrong(monkeypa
     assert not result.passed and result.measured == float("inf")
     assert "declared potential mismatches f" in result.note
     assert "FAIL" in suite.format_report([result])
+
+
+def test_a_criterion_on_its_own_integrates_its_runs(monkeypatch):
+    name = "selection_intensity_time_change"
+    monkeypatch.setattr(suite, "_traj", suite._TrajectoryCache())
+    alone = suite.CRITERIA_BY_NAME[name].run()
+    assert suite._traj.cache_info().misses == 2
+    monkeypatch.setattr(suite, "_traj", suite._TrajectoryCache())
+    (planned,), _ = suite.run_suite([name])
+    assert alone == planned
 
 
 # the criteria that reduce samples of the field, and those that reduce trajectory columns
